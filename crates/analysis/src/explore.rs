@@ -4,11 +4,8 @@
 //! ([`ringdeploy_sim::explore::Explorer`]) instead of a single sampled
 //! execution, streaming [`ExploreRow`]s in deterministic cell order.
 //!
-//! Unlike `Sweep`, cells execute **sequentially** while each cell's
-//! exploration parallelises internally: one exploration already saturates
-//! the machine's cores (work-stealing DFS over a striped visited map),
-//! so nesting cell-level parallelism on top would only add memory
-//! pressure and contention. Row order is deterministic either way.
+//! Unlike `Sweep`, cells execute **sequentially**, each one a single
+//! in-place DFS; row order is deterministic.
 //!
 //! # Example
 //!
@@ -119,7 +116,6 @@ pub struct Explore {
     seeds: Vec<u64>,
     limits: Option<ExploreLimits>,
     symmetry: SymmetryMode,
-    threads: Option<usize>,
     faults: FaultPlan,
 }
 
@@ -139,7 +135,6 @@ impl Explore {
             seeds: vec![0],
             limits: None,
             symmetry: SymmetryMode::default(),
-            threads: None,
             faults: FaultPlan::none(),
         }
     }
@@ -205,15 +200,6 @@ impl Explore {
     /// adversary-controllable transitions.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Caps each cell's explorer worker threads (default: available
-    /// parallelism). `1` runs the work-stealing engine with a single
-    /// worker — fully deterministic, and report-identical to the serial
-    /// DFS on everything but the `peak_frontier` metric.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
         self
     }
 
@@ -296,10 +282,7 @@ impl Explore {
         let limits = self
             .limits
             .unwrap_or_else(|| ExploreLimits::for_instance(init.ring_size(), init.agent_count()));
-        let mut explorer = Explorer::new().limits(limits).symmetry(self.symmetry);
-        if let Some(threads) = self.threads {
-            explorer = explorer.threads(threads);
-        }
+        let explorer = Explorer::new().limits(limits).symmetry(self.symmetry);
         explore_one(cell.algorithm, &init, &explorer)
     }
 }
@@ -324,13 +307,10 @@ pub fn explore_one(
     init: &InitialConfig,
     explorer: &Explorer,
 ) -> Result<ExploreReport, ExploreErrorKind> {
-    algorithm.explore(init, explorer, ExploreEngine::Stealing)
+    algorithm.explore(init, explorer, ExploreEngine::Serial)
 }
 
-/// As [`explore_one`], but through the **clone-free serial DFS**
-/// ([`Explorer::run_serial`]) — the deterministic single-threaded engine
-/// with on-path cycle detection, the baseline the work-stealing engine's
-/// speedup gate measures against. Ignores the explorer's thread setting.
+/// Alias of [`explore_one`], kept for callers that name the engine.
 ///
 /// # Errors
 ///
@@ -340,14 +320,13 @@ pub fn explore_one_serial(
     init: &InitialConfig,
     explorer: &Explorer,
 ) -> Result<ExploreReport, ExploreErrorKind> {
-    algorithm.explore(init, explorer, ExploreEngine::Serial)
+    explore_one(algorithm, init, explorer)
 }
 
 /// As [`explore_one`], but through the **retained clone-based reference
 /// engine** ([`Explorer::run_serial_reference`]) — the pre-0.5 serial DFS
-/// kept as the differential oracle for the clone-free engines and as the
-/// baseline of the `explore_scale` expansion-throughput gate. Ignores the
-/// explorer's thread setting (the reference is serial by definition).
+/// kept as the differential oracle for the clone-free engine and as the
+/// throughput baseline of the `explore_scale` bench.
 ///
 /// # Errors
 ///
@@ -482,20 +461,5 @@ mod tests {
             .unwrap();
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].seed, 777);
-    }
-
-    #[test]
-    fn serial_and_parallel_cells_agree() {
-        let base = Explore::new()
-            .algorithm(Algorithm::LogSpace)
-            .workload(Workload::Uniform { n: 8, k: 4 });
-        let serial = base.clone().threads(1).run().unwrap();
-        let parallel = base.clone().threads(4).run().unwrap();
-        assert_eq!(serial[0].report.states, parallel[0].report.states);
-        assert_eq!(serial[0].report.terminals, parallel[0].report.terminals);
-        assert_eq!(
-            serial[0].report.terminal_fingerprints,
-            parallel[0].report.terminal_fingerprints
-        );
     }
 }

@@ -4,9 +4,9 @@
 //! Two measurements per instance, both computing the **same exact
 //! worst-case total moves**:
 //!
-//! * **pruned** — the production configuration: `SymmetryMode::Dihedral`
-//!   (rotation + reflection + relabeling) remaining-value memoisation
-//!   plus the admissible move-bound prune — a child whose canonical
+//! * **pruned** — the production configuration: `SymmetryMode::Rotation`
+//!   (rotation + relabeling) remaining-value memoisation plus the
+//!   admissible move-bound prune — a child whose canonical
 //!   fingerprint is already solved folds its whole subtree in `O(1)`,
 //!   and a child whose optimistic remaining-move bound cannot beat an
 //!   already-attained sibling is cut before expansion;
@@ -19,9 +19,9 @@
 //! Gates enforced by the bench itself:
 //!
 //! * **answer identity**: both modes must report the same worst-case
-//!   value (the objective is invariant under the dihedral fold whenever
-//!   the fold completes, and the bound prune is admissible; see
-//!   `ringdeploy-sim::adversary` and DESIGN.md §0.11);
+//!   value (the objective is invariant under the rotation fold, and the
+//!   bound prune is admissible; see `ringdeploy-sim::adversary` and
+//!   DESIGN.md §0.11);
 //! * **linear work**: the exact remaining-value memo expands every
 //!   distinct state at most once, so `pruned_expansions ≤
 //!   distinct_states` on every instance;
@@ -115,7 +115,7 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
         worst_case_one(
             algorithm,
             &init,
-            &engine(SymmetryMode::Dihedral, true),
+            &engine(SymmetryMode::Rotation, true),
             Objective::TotalMoves,
         )
         .expect("pruned search succeeds")
@@ -169,8 +169,8 @@ fn main() {
         // real competitive ratio.
         measure(Algorithm::FullKnowledge, 8, &[0, 1, 4, 5], repeats),
         // Aperiodic clustered worst case (l = 1): no rotation to exploit —
-        // the dihedral fold and the admissible move-bound prune carry the
-        // whole cut here, gated on the full-knowledge row.
+        // the admissible move-bound prune carries the whole cut here,
+        // gated on the full-knowledge row.
         measure(Algorithm::FullKnowledge, 12, &[0, 1, 2, 3], repeats),
         measure(Algorithm::Relaxed, 12, &[0, 1, 2, 3], repeats),
     ];
@@ -313,9 +313,9 @@ fn main() {
     }
 
     // The former blind spot: on the aperiodic (l = 1) full-knowledge
-    // instance no symmetry fold can apply (rotating or reflecting a
-    // reachable state yields a state of a *different* initial
-    // configuration), so the admissible move-bound prune is the only
+    // instance no symmetry fold can apply (rotating a reachable state
+    // yields a state of a *different* initial configuration), so the
+    // admissible move-bound prune is the only
     // lever — and the FIFO queue-blocking that keeps the state space
     // small in the first place also keeps the all-agents-deployed
     // region (where the bound is exact) thin. Gate what the subsystem

@@ -128,20 +128,14 @@ fn table1_bound(
 
 /// Which exploration engine a [`ProblemFamily::explore`] call runs.
 ///
-/// All three explore the same quotient and agree on `states`,
-/// `terminals`, the sorted terminal fingerprints and `merge_edges`
-/// (pinned by the differential test tier); they differ in cost model and
-/// in the scheduling-shaped diagnostics (`max_depth_seen`,
-/// `peak_frontier`).
+/// Both explore the same quotient and agree on `states`, `terminals`,
+/// the sorted terminal fingerprints and `merge_edges` (pinned by the
+/// differential test tier); they differ in cost model and in the
+/// spanning-tree-shaped diagnostics (`max_depth_seen`, `peak_frontier`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExploreEngine {
-    /// The work-stealing engine ([`Explorer::run`]) at the explorer's
-    /// thread setting — the production path.
-    Stealing,
-    /// The clone-free serial DFS ([`Explorer::run_serial`]): reversible
-    /// apply/undo expansion with on-path cycle detection. Deterministic
-    /// by construction; the baseline the parallel speedup gate measures
-    /// against.
+    /// The clone-free DFS ([`Explorer::run`]): reversible apply/undo
+    /// expansion with on-path cycle detection — the production path.
     Serial,
     /// The retained clone-based reference oracle
     /// ([`Explorer::run_serial_reference`]). Differential testing only.
@@ -168,18 +162,17 @@ pub fn explore_terminal_ok(check: &DeploymentCheck) -> bool {
 pub fn explore_family<B>(
     explorer: &Explorer,
     init: &InitialConfig,
-    make: impl Fn() -> B + Sync,
+    make: impl Fn() -> B,
     engine: ExploreEngine,
-    terminal_ok: impl Fn(&Ring<B>) -> bool + Sync,
+    terminal_ok: impl Fn(&Ring<B>) -> bool,
 ) -> Result<ExploreReport, ExploreErrorKind>
 where
-    B: Behavior + Clone + Hash + Send + Sync,
-    B::Message: Clone + Hash + Send + Sync,
+    B: Behavior + Clone + Hash,
+    B::Message: Clone + Hash,
 {
     let ring = Ring::new(init, |_| make());
     let result = match engine {
-        ExploreEngine::Stealing => explorer.run(&ring, terminal_ok),
-        ExploreEngine::Serial => explorer.run_serial(&ring, terminal_ok),
+        ExploreEngine::Serial => explorer.run(&ring, terminal_ok),
         ExploreEngine::Reference => explorer.run_serial_reference(&ring, terminal_ok),
     };
     result.map_err(|e| e.kind())
@@ -250,9 +243,9 @@ pub trait ProblemFamily: Send + Sync {
     fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError>;
 
     /// Exhaustively explores every schedule of one instance with the
-    /// bounded model checker (`engine` selects the work-stealing
-    /// production engine, the clone-free serial DFS, or the retained
-    /// clone-based reference oracle — see [`ExploreEngine`]).
+    /// bounded model checker (`engine` selects the clone-free production
+    /// DFS or the retained clone-based reference oracle — see
+    /// [`ExploreEngine`]).
     ///
     /// # Errors
     ///

@@ -166,6 +166,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_whitespace();
         let value = p.value()?;
@@ -236,9 +237,18 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so uncapped input such as a megabyte of `[`
+/// would overflow the thread's stack — an abort that `catch_unwind`
+/// cannot stop. Every frame this workspace exchanges nests fewer than
+/// ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -284,11 +294,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(&b) => Err(self.error(format!("unexpected byte `{}`", b as char))),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to open a
+    /// level beyond [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -664,6 +689,44 @@ mod tests {
         assert!(Json::parse(r#""\ud83d""#).is_err()); // lone high
         assert!(Json::parse(r#""\ude00""#).is_err()); // lone low
         assert!(Json::parse(r#""\ud83d\u0041""#).is_err()); // bad pair
+    }
+
+    /// `levels` nested arrays around `inner`.
+    fn nested_arrays(levels: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "[".repeat(levels), "]".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_at_the_cap_parses() {
+        let v = Json::parse(&nested_arrays(MAX_DEPTH, "7")).unwrap();
+        let mut level = &v;
+        for _ in 0..MAX_DEPTH {
+            level = &level.as_array().expect("array level")[0];
+        }
+        assert_eq!(level, &Json::Number(7.0));
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+    }
+
+    #[test]
+    fn nesting_beyond_the_cap_is_a_parse_error() {
+        let err = Json::parse(&nested_arrays(MAX_DEPTH + 1, "")).unwrap_err();
+        assert_eq!(
+            err,
+            JsonError::Parse {
+                at: MAX_DEPTH,
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+            }
+        );
+        // Neither needs a closing bracket to be refused.
+        assert!(matches!(
+            Json::parse(&"[".repeat(1_000_000)),
+            Err(JsonError::Parse { .. })
+        ));
+        assert!(matches!(
+            Json::parse(&r#"{"a":"#.repeat(1_000_000)),
+            Err(JsonError::Parse { .. })
+        ));
     }
 
     #[test]

@@ -54,7 +54,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
-use ringdeploy_seq::{min_rotation_elim, min_rotation_pair};
+use ringdeploy_seq::min_rotation_elim;
 
 use crate::agent::Behavior;
 use crate::engine::Ring;
@@ -280,122 +280,6 @@ where
         &mut Vec::new(),
         ring.fault_seal_word(),
     )
-}
-
-/// Scratch buffers for [`dihedral_fingerprint_of_split`] — the explorer
-/// keeps one per worker so the per-child hot path is allocation-free.
-#[derive(Default)]
-pub struct DihedralScratch {
-    forward: Vec<u64>,
-    reflected: Vec<u64>,
-    candidates: Vec<usize>,
-}
-
-/// Fingerprint of the **dihedral** class of an already-extracted split
-/// symbol sequence (node parts and edge parts, see
-/// [`Ring::node_symbol_split`]): the same value for all `n` rotations of
-/// a configuration *and* all `n` rotations of its reflection.
-///
-/// A node is paired with its incoming edge to give the *forward* reading
-/// `F_v = mix(node_v, edge_v)`; reflection re-pairs each node with its
-/// other adjacent edge, giving the *reflected* reading
-/// `G_u = mix(node_{(n−u) mod n}, edge_{(n+1−u) mod n})` — exactly the
-/// forward reading of [`Ring::reflected`]. The fingerprint seals the
-/// lexicographically minimal rotation among both readings
-/// ([`min_rotation_pair`]), then folds in `extra`
-/// ([`Ring::fault_seal_word`]) as in [`fingerprint_of_symbols_sealed`].
-///
-/// Rotation-mode fingerprints are untouched: this is a separate symbol
-/// domain (split parts, staying sets hashed as sorted multisets), not a
-/// re-parameterisation of [`fingerprint_of_symbols`].
-pub fn dihedral_fingerprint_of_split(
-    n: usize,
-    k: usize,
-    nodes: &[u64],
-    edges: &[u64],
-    scratch: &mut DihedralScratch,
-    extra: u64,
-) -> u64 {
-    debug_assert_eq!(nodes.len(), n);
-    debug_assert_eq!(edges.len(), n);
-    let f = &mut scratch.forward;
-    let g = &mut scratch.reflected;
-    f.clear();
-    g.clear();
-    f.extend((0..n).map(|v| mix(nodes[v], edges[v])));
-    g.extend((0..n).map(|u| mix(nodes[(n - u) % n], edges[(n + 1 - u) % n])));
-    let (r, use_g) = min_rotation_pair(f, g, &mut scratch.candidates);
-    let winner: &[u64] = if use_g { g } else { f };
-    let mut h = mix(0x243F_6A88_85A3_08D3, n as u64);
-    h = mix(h, k as u64);
-    h = mix(h, winner.len() as u64);
-    for &symbol in &winner[r..] {
-        h = mix(h, symbol);
-    }
-    for &symbol in &winner[..r] {
-        h = mix(h, symbol);
-    }
-    if extra == 0 {
-        h
-    } else {
-        mix(h, extra)
-    }
-}
-
-/// Fingerprint of the configuration's **dihedral-with-relabeling** class:
-/// all `2n` dihedral images of a configuration produce the same value,
-/// as do configurations differing only by a relabeling of
-/// equally-stated staying agents (see [`Ring::node_symbol_split`] for
-/// what the symbols merge). See `DESIGN.md` §0.11 for when quotienting
-/// by this class is sound for a given algorithm/predicate pair.
-pub fn dihedral_fingerprint<B>(ring: &Ring<B>) -> u64
-where
-    B: Behavior + Hash,
-    B::Message: Hash,
-{
-    let (nodes, edges) = ring.node_symbols_split();
-    dihedral_fingerprint_of_split(
-        ring.ring_size(),
-        ring.agent_count(),
-        &nodes,
-        &edges,
-        &mut DihedralScratch::default(),
-        ring.fault_seal_word(),
-    )
-}
-
-/// Reference implementation of [`dihedral_fingerprint`]: materialises all
-/// `2n` dihedral images with [`Ring::rotated`] and [`Ring::reflected`],
-/// takes the minimal forward reading among them and seals it. `O(n²)`;
-/// exists to differentially test the re-pairing algebra of the fast path
-/// (which never materialises an image).
-pub fn dihedral_fingerprint_naive<B>(ring: &Ring<B>) -> u64
-where
-    B: Behavior + Clone + Hash,
-    B::Message: Clone + Hash,
-{
-    let n = ring.ring_size();
-    let forward_reading = |image: &Ring<B>| -> Vec<u64> {
-        let (nodes, edges) = image.node_symbols_split();
-        (0..n).map(|v| mix(nodes[v], edges[v])).collect()
-    };
-    let reflected = ring.reflected();
-    let best = (0..n)
-        .flat_map(|r| {
-            [
-                forward_reading(&ring.rotated(r)),
-                forward_reading(&reflected.rotated(r)),
-            ]
-        })
-        .min()
-        .expect("rings have at least one node");
-    let fp = seal_rotation(n, ring.agent_count(), best.len(), best.iter());
-    let extra = ring.fault_seal_word();
-    if extra == 0 {
-        fp
-    } else {
-        mix(fp, extra)
-    }
 }
 
 /// Reference implementation of [`canonical_fingerprint`]: materialises

@@ -2038,173 +2038,6 @@ impl<B: Behavior> Ring<B> {
         h.finish() | 1
     }
 
-    /// The **split** symbol of node `v`: `(node part, edge part)` — the
-    /// raw material of the dihedral quotient (see [`crate::canonical`]).
-    ///
-    /// Unlike [`node_symbol`](Ring::node_symbol), which folds a node's
-    /// staying set and incoming link queue into one word, the split form
-    /// keeps them separate so a reflection (which re-pairs nodes with the
-    /// *other* adjacent edge) can be expressed as a re-pairing of
-    /// unchanged parts. Two further differences, both deliberate:
-    ///
-    /// * the node part hashes the staying agents as a **sorted multiset**
-    ///   of their full agent hashes, not in list order — list order is
-    ///   unobservable (an [`Observation`](crate::agent::Observation)
-    ///   exposes only the count, and broadcasts deliver to every
-    ///   co-located agent), so the dihedral quotient also merges states
-    ///   differing only by a relabeling of equally-stated staying agents;
-    /// * the edge part keeps the link queue in **queue order** — arrival
-    ///   order *is* observable under FIFO.
-    ///
-    /// Like `node_symbol`, a step invalidates at most the parts of the
-    /// node acted at and the move destination.
-    pub fn node_symbol_split(&self, v: usize) -> (u64, u64)
-    where
-        B: std::hash::Hash,
-        B::Message: std::hash::Hash,
-    {
-        use crate::canonical::MixHasher;
-        use std::hash::{Hash, Hasher};
-        let faulted = !self.faults.is_empty();
-        let agent_word = |idx: usize| -> u64 {
-            let mut h = MixHasher::default();
-            let word = self.meta[idx];
-            self.behaviors[idx].hash(&mut h);
-            meta_idle(word).hash(&mut h);
-            (word & TOKEN_HELD != 0).hash(&mut h);
-            self.inboxes[idx].hash(&mut h);
-            if faulted {
-                match self.faults.crash_after(AgentId(idx)) {
-                    Some(after) if !self.crashed[idx] => {
-                        1u8.hash(&mut h);
-                        after.saturating_sub(self.acted[idx]).hash(&mut h);
-                    }
-                    _ => 0u8.hash(&mut h),
-                }
-            }
-            h.finish()
-        };
-        let mut h = MixHasher::default();
-        self.tokens[v].hash(&mut h);
-        self.staying[v].len().hash(&mut h);
-        let mut members: Vec<u64> = self.staying[v]
-            .iter()
-            .map(|a| agent_word(a.index()))
-            .collect();
-        members.sort_unstable();
-        for w in members {
-            w.hash(&mut h);
-        }
-        let node_part = h.finish();
-        let mut h = MixHasher::default();
-        self.links[v].len().hash(&mut h);
-        for &a in &self.links[v] {
-            agent_word(a.index()).hash(&mut h);
-        }
-        if faulted {
-            (self.down_edge == Some(NodeId(v))).hash(&mut h);
-        }
-        (node_part, h.finish())
-    }
-
-    /// All `n` split symbols, node parts and edge parts as two parallel
-    /// vectors — see [`node_symbol_split`](Ring::node_symbol_split).
-    pub fn node_symbols_split(&self) -> (Vec<u64>, Vec<u64>)
-    where
-        B: std::hash::Hash,
-        B::Message: std::hash::Hash,
-    {
-        let mut nodes = Vec::with_capacity(self.n);
-        let mut edges = Vec::with_capacity(self.n);
-        for v in 0..self.n {
-            let (np, ep) = self.node_symbol_split(v);
-            nodes.push(np);
-            edges.push(ep);
-        }
-        (nodes, edges)
-    }
-
-    /// Observer-side **reflection** of the whole configuration: node `v`
-    /// of `self` becomes node `(n − v) mod n` of the result, and the edge
-    /// *into* node `v` (carrying link queue `q_v`) becomes the edge into
-    /// node `(n + 1 − v) mod n`, queue order preserved.
-    ///
-    /// Like [`Ring::rotated`] this returns a fully functional engine
-    /// (consistent staying sets, link queues, packed agent words and a
-    /// rescan-rebuilt enabled set). **Unlike** rotation, reflection is
-    /// *not* an automorphism of the directed-ring transition system —
-    /// agents move forward, and reflection reverses what "forward" pairs
-    /// with — so the reflected ring generally reaches different futures.
-    /// It exists for the dihedral fingerprint and its tests (the
-    /// fingerprint of a ring and of its reflection agree by
-    /// construction); see `DESIGN.md` §0.11 for when quotienting by it is
-    /// justified.
-    ///
-    /// Reflecting twice is the identity.
-    pub fn reflected(&self) -> Ring<B>
-    where
-        B: Clone,
-        B::Message: Clone,
-    {
-        let n = self.n;
-        // Node images and edge images differ by one: node v ↦ n−v, but
-        // the edge into v (between nodes v−1 and v) ↦ the edge between
-        // nodes n−v and n−v+1, i.e. the edge into n+1−v.
-        let map_node = |v: usize| (n - v) % n;
-        let map_edge = |v: usize| (n + 1 - v) % n;
-        let mut staying: Vec<Vec<AgentId>> = vec![Vec::new(); n];
-        let mut links: Vec<VecDeque<AgentId>> = vec![VecDeque::new(); n];
-        let mut tokens = vec![0u32; n];
-        for v in 0..n {
-            staying[map_node(v)] = self.staying[v].clone();
-            links[map_edge(v)] = self.links[v].clone();
-            tokens[map_node(v)] = self.tokens[v];
-        }
-        let meta: Vec<u32> = self
-            .meta
-            .iter()
-            .map(|&word| {
-                let place = match meta_place(word) {
-                    Place::Staying { at } => Place::Staying {
-                        at: NodeId(map_node(at.index())),
-                    },
-                    Place::InTransit { to } => Place::InTransit {
-                        to: NodeId(map_edge(to.index())),
-                    },
-                };
-                meta_word(place, meta_idle(word), word & TOKEN_HELD != 0)
-            })
-            .collect();
-        let mut reflected = Ring {
-            n,
-            tokens,
-            staying,
-            links,
-            inboxes: self.inboxes.clone(),
-            behaviors: self.behaviors.clone(),
-            meta,
-            homes: self
-                .homes
-                .iter()
-                .map(|&h| NodeId(map_node(h.index())))
-                .collect(),
-            // Placeholder; replaced by the rescan-derived rebuild below.
-            enabled: EnabledSet::new(self.meta.len()),
-            metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
-            phases: self.phases.clone(),
-            steps: self.steps,
-            discipline: self.discipline,
-            faults: self.faults.clone(),
-            acted: self.acted.clone(),
-            crashed: self.crashed.clone(),
-            down_edge: self.down_edge.map(|v| NodeId(map_edge(v.index()))),
-            outages_left: self.outages_left,
-        };
-        reflected.enabled = reflected.rebuilt_enabled();
-        reflected
-    }
-
     /// An admissible upper bound on the total number of `Move` actions the
     /// whole configuration can still produce under any schedule — the sum
     /// of [`Behavior::max_remaining_moves`] over agents that can still

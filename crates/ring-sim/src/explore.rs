@@ -23,7 +23,7 @@
 //!
 //! # The [`Explorer`] engine
 //!
-//! State counts explode with `n` and `k`; the engine fights back on three
+//! State counts explode with `n` and `k`; the engine fights back on two
 //! fronts, configured through the [`Explorer`] builder:
 //!
 //! * **rotation symmetry reduction** ([`SymmetryMode::Rotation`], the
@@ -34,59 +34,29 @@
 //!   symmetry degree `l`, this cuts visited states by up to `l`×. See
 //!   [`crate::canonical`] for the canonical form and the soundness
 //!   argument; it requires the terminal predicate to be
-//!   rotation-invariant (the Definition 1/2 predicates are).
+//!   rotation-invariant (the Definition 1/2 predicates are). Reflection
+//!   is deliberately *not* folded: the ring is unidirectional, so a
+//!   mirrored configuration belongs to a different instance.
 //! * **reversible, clone-free expansion**: children are generated with
 //!   [`Ring::apply`]/[`Ring::undo`] — an exactly-invertible step that
-//!   records only the mutated cells — so the serial engine walks the
-//!   whole space in one live ring (no per-child deep clone), canonical
-//!   fingerprints are maintained incrementally (only the ≤ 2 symbols a
-//!   step touches are re-derived; the min-rotation is recomputed on the
-//!   patched vector). The pre-0.5 clone-based DFS is retained verbatim
-//!   as [`Explorer::run_serial_reference`], the differential oracle.
-//! * **work-stealing parallel search** ([`Explorer::threads`]): every
-//!   worker runs the same clone-free DFS on a private scratch ring and
-//!   donates untried sibling activations to a shared injector queue when
-//!   it runs low — each donated child travels as a delta-encoded steal
-//!   handoff (one `Arc`-shared
-//!   [`PackedState`](crate::packed::PackedState) parent snapshot plus
-//!   the `Copy` activation that produces the child). The visited set is
-//!   a striped (64-shard, fingerprint-keyed) concurrent map; each
-//!   fingerprint is admitted exactly once and each (state, activation)
-//!   pair is expanded by exactly one worker, so `states` / `terminals` /
-//!   [`terminal_fingerprints`](ExploreReport::terminal_fingerprints) /
-//!   [`merge_edges`](ExploreReport::merge_edges) are byte-identical to
-//!   the serial engines regardless of stealing order.
+//!   records only the mutated cells — so the DFS walks the whole space in
+//!   one live ring (no per-child deep clone), and canonical fingerprints
+//!   are maintained incrementally (only the ≤ 2 symbols a step touches
+//!   are re-derived; the min-rotation is recomputed on the patched
+//!   vector). The pre-0.5 clone-based DFS is retained verbatim as
+//!   [`Explorer::run_serial_reference`], the differential oracle.
 //!
-//! The serial engines detect livelocks as DFS back-edges on the current
-//! path; the work-stealing engine records the quotient edge list and
-//! certifies acyclicity with a Kahn elimination after the sweep
-//! ([`Explorer::certify_termination`] turns this off to save the edge
-//! memory on very large sweeps — at the cost of the termination half of
-//! the proof). Multi-worker runs may differ from the serial engines on
-//! the scheduling-dependent diagnostics
-//! ([`max_depth_seen`](ExploreReport::max_depth_seen),
-//! [`peak_frontier`](ExploreReport::peak_frontier)) and on *which* error
-//! they report when several exist; with one worker the whole report is
-//! deterministic. Limit enforcement is race-free — a shared atomic state
-//! budget gates on the visited-set insert, so each distinct state is
-//! counted exactly once and a limit of `N` errors iff the space exceeds
-//! `N` states, in every engine at every worker count. With non-binding
-//! limits — the verification regime — the engines never disagree on
-//! whether exploration succeeds.
+//! Livelocks are detected as DFS back-edges on the current path. The
+//! whole report is deterministic, and limits are exact: a limit of `N`
+//! states errors iff the space exceeds `N` states.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
 
 use crate::agent::Behavior;
-use crate::canonical::{
-    canonical_fingerprint, dihedral_fingerprint, dihedral_fingerprint_of_split,
-    fingerprint_of_symbols_sealed, plain_fingerprint, DihedralScratch,
-};
+use crate::canonical::{canonical_fingerprint, fingerprint_of_symbols_sealed, plain_fingerprint};
 use crate::engine::{Ring, StepUndo};
 use crate::error::SimError;
-use crate::packed::PackedState;
 use crate::scheduler::Activation;
 
 /// Pass-through hasher for fingerprint-keyed sets and maps: fingerprints
@@ -178,17 +148,6 @@ pub enum SymmetryMode {
     /// rotation-invariant predicates — see [`crate::canonical`].
     #[default]
     Rotation,
-    /// Quotient by the full dihedral group (rotations **and**
-    /// reflections) plus relabeling of equally-stated staying agents:
-    /// all `2n` dihedral images of a configuration share one
-    /// [`dihedral_fingerprint`] entry. Rotation and relabeling are
-    /// automorphisms of the directed ring; **reflection is not** (agents
-    /// move forward, and reflection reverses what "forward" means), so
-    /// this mode additionally requires the algorithm's reachable
-    /// behavior to be direction-agnostic — validated per family by the
-    /// Rotation-vs-Dihedral value-agreement suites; see `DESIGN.md`
-    /// §0.11.
-    Dihedral,
 }
 
 /// Outcome of an exhaustive exploration.
@@ -199,13 +158,11 @@ pub struct ExploreReport {
     pub states: usize,
     /// Distinct terminal (quiescent) configurations reached.
     pub terminals: usize,
-    /// Deepest schedule depth attempted: the longest DFS path for the
-    /// serial engines; for the work-stealing engine, the deepest depth
-    /// any worker reached (a donated subtree root inherits its parent's
-    /// depth + 1). A state's first-visit depth depends on which path won
-    /// the visited-set race, so with multiple workers this diagnostic is
-    /// scheduling-dependent; with one worker it equals the serial
-    /// engine's value.
+    /// Deepest schedule depth attempted: the length of the longest DFS
+    /// path. Deterministic, but a property of the DFS spanning tree
+    /// rather than of the state graph, so it is excluded from the
+    /// differential-identity guarantees (the reference engine expands
+    /// siblings in the opposite order).
     pub max_depth_seen: usize,
     /// Fingerprints of the terminal configurations, sorted ascending —
     /// the key to membership checks such as "does every terminal reached
@@ -215,19 +172,13 @@ pub struct ExploreReport {
     /// Back/cross-edge diagnostic: transitions whose target configuration
     /// had already been visited (diamonds from commuting activations, and
     /// — under symmetry reduction — rotated re-encounters). Equal to
-    /// `edges − (states − 1)`, and identical between the serial and
-    /// parallel engines.
+    /// `edges − (states − 1)`, and identical between the engines.
     pub merge_edges: u64,
     /// Peak count of *live* states the engine held at once: the deepest
-    /// DFS path for the serial engines; for the work-stealing engine,
-    /// the peak number of outstanding steal tasks (queued + executing
-    /// donated subtree roots — the states held as
-    /// [`PackedState`](crate::packed::PackedState) snapshots at once).
-    /// Multiplied by the per-state footprint this bounds the engine's
-    /// snapshot working-set memory; like
-    /// [`max_depth_seen`](ExploreReport::max_depth_seen) it is
-    /// engine-specific and excluded from the differential-identity
-    /// guarantees.
+    /// stack of non-terminal states on the DFS path (root included).
+    /// Like [`max_depth_seen`](ExploreReport::max_depth_seen) it is
+    /// deterministic but spanning-tree-shaped, and excluded from the
+    /// differential-identity guarantees.
     pub peak_frontier: usize,
     /// Fingerprint of the canonical instance key this report answers
     /// (`InstanceKey::fingerprint` in `ringdeploy-analysis`), stamped by
@@ -311,11 +262,8 @@ where
     ///
     /// The returned ring's *configuration* (tokens, places, queues,
     /// inboxes, behavior states, enabled set) is exactly the violating
-    /// state. Its metrics/phase/step bookkeeping reflects the engine that
-    /// found it: the path's own history for the serial in-place DFS, the
-    /// capturing worker's scratch bookkeeping for the parallel engine
-    /// (frontier snapshots deliberately do not carry schedule-history —
-    /// see [`crate::packed`]).
+    /// state, and its metrics/phase/step bookkeeping is the history of
+    /// the DFS path that reached it.
     PredicateViolated {
         /// The violating quiescent configuration.
         ring: Box<Ring<B>>,
@@ -325,12 +273,8 @@ where
     /// A configuration repeats along one schedule: an infinite execution
     /// (livelock) exists.
     CycleDetected {
-        /// Schedule depth at which the repeat was found (serial engines)
-        /// or, for the work-stealing engine, the earliest first-seen
-        /// depth among the states with cyclic ancestry — states on a
-        /// cycle *or downstream of one* (Kahn elimination cannot tell
-        /// the two apart without a full SCC pass), so the depth locates
-        /// the entangled region, not necessarily a cycle member.
+        /// Schedule depth at which the repeat was found: the DFS path
+        /// returned to a state it is still expanding.
         depth: usize,
     },
     /// `max_states` or `max_depth` exceeded before the space was covered.
@@ -418,8 +362,8 @@ where
 impl<B: Behavior + Clone> std::error::Error for ExploreError<B> where B::Message: Clone {}
 
 /// Exhaustively explores every schedule of `ring`, checking `terminal_ok`
-/// at each quiescent configuration — the classic serial entry point,
-/// equivalent to [`Explorer::run_serial`] with [`SymmetryMode::Off`].
+/// at each quiescent configuration — the classic entry point, equivalent
+/// to [`Explorer::run`] with [`SymmetryMode::Off`].
 ///
 /// Kept with its original signature (and its original semantics — no
 /// symmetry quotient, so predicates need not be rotation-invariant);
@@ -440,26 +384,21 @@ where
     Explorer::new()
         .limits(limits)
         .symmetry(SymmetryMode::Off)
-        .run_serial(ring, terminal_ok)
+        .run(ring, terminal_ok)
 }
 
 /// Saved pre-step symbols of the ≤ 2 nodes one step touched — what
 /// [`FingerprintCache::revert`] needs to roll the cache back alongside
-/// [`Ring::undo`].
-///
-/// Slot indices `< n` address the node-symbol array (rotation mode) or
-/// the node-part array (dihedral mode); indices `≥ n` address the
-/// dihedral edge-part array at `slot − n`. Dihedral steps touch up to
-/// two nodes × two parts = 4 slots.
+/// [`Ring::undo`]: `(node, old symbol)` pairs.
 #[derive(Clone, Copy)]
 pub(crate) struct SymbolPatch {
-    slots: [(usize, u64); 4],
+    slots: [(usize, u64); 2],
     len: usize,
 }
 
 impl SymbolPatch {
     const EMPTY: SymbolPatch = SymbolPatch {
-        slots: [(0, 0); 4],
+        slots: [(0, 0); 2],
         len: 0,
     };
 
@@ -498,15 +437,6 @@ pub(crate) enum FingerprintCache {
         /// fingerprint in the hot path.
         minrot: Vec<usize>,
     },
-    Dihedral {
-        /// Node parts of the split symbols
-        /// ([`Ring::node_symbol_split`]).
-        nodes: Vec<u64>,
-        /// Edge parts, parallel to `nodes`.
-        edges: Vec<u64>,
-        /// Reused forward/reflected-reading and candidate buffers.
-        scratch: DihedralScratch,
-    },
 }
 
 impl FingerprintCache {
@@ -521,39 +451,6 @@ impl FingerprintCache {
                 symbols: ring.node_symbols(),
                 minrot: Vec::new(),
             },
-            SymmetryMode::Dihedral => {
-                let (nodes, edges) = ring.node_symbols_split();
-                FingerprintCache::Dihedral {
-                    nodes,
-                    edges,
-                    scratch: DihedralScratch::default(),
-                }
-            }
-        }
-    }
-
-    /// Re-derives the whole symbol vector — called once per frontier
-    /// state by the parallel workers after restoring a packed snapshot.
-    pub(crate) fn reset<B>(&mut self, ring: &Ring<B>)
-    where
-        B: Behavior + Hash,
-        B::Message: Hash,
-    {
-        match self {
-            FingerprintCache::Plain => {}
-            FingerprintCache::Rotation { symbols, .. } => {
-                symbols.clear();
-                symbols.extend((0..ring.ring_size()).map(|v| ring.node_symbol(v)));
-            }
-            FingerprintCache::Dihedral { nodes, edges, .. } => {
-                nodes.clear();
-                edges.clear();
-                for v in 0..ring.ring_size() {
-                    let (np, ep) = ring.node_symbol_split(v);
-                    nodes.push(np);
-                    edges.push(ep);
-                }
-            }
         }
     }
 
@@ -573,18 +470,6 @@ impl FingerprintCache {
                 minrot,
                 ring.fault_seal_word(),
             ),
-            FingerprintCache::Dihedral {
-                nodes,
-                edges,
-                scratch,
-            } => dihedral_fingerprint_of_split(
-                ring.ring_size(),
-                ring.agent_count(),
-                nodes,
-                edges,
-                scratch,
-                ring.fault_seal_word(),
-            ),
         }
     }
 
@@ -598,27 +483,14 @@ impl FingerprintCache {
         B::Message: Hash,
     {
         let mut patch = SymbolPatch::EMPTY;
-        let n = ring.ring_size();
-        let v = undo.acted_at().index();
-        let dest = undo.moved_to(n).map(|d| d.index()).filter(|&d| d != v);
-        match self {
-            FingerprintCache::Plain => {}
-            FingerprintCache::Rotation { symbols, .. } => {
-                patch.push(v, symbols[v]);
-                symbols[v] = ring.node_symbol(v);
-                if let Some(d) = dest {
-                    patch.push(d, symbols[d]);
-                    symbols[d] = ring.node_symbol(d);
-                }
-            }
-            FingerprintCache::Dihedral { nodes, edges, .. } => {
-                for u in [v].into_iter().chain(dest) {
-                    patch.push(u, nodes[u]);
-                    patch.push(n + u, edges[u]);
-                    let (np, ep) = ring.node_symbol_split(u);
-                    nodes[u] = np;
-                    edges[u] = ep;
-                }
+        if let FingerprintCache::Rotation { symbols, .. } = self {
+            let n = ring.ring_size();
+            let v = undo.acted_at().index();
+            patch.push(v, symbols[v]);
+            symbols[v] = ring.node_symbol(v);
+            if let Some(d) = undo.moved_to(n).map(|d| d.index()).filter(|&d| d != v) {
+                patch.push(d, symbols[d]);
+                symbols[d] = ring.node_symbol(d);
             }
         }
         patch
@@ -626,31 +498,13 @@ impl FingerprintCache {
 
     /// Rolls the cache back alongside [`Ring::undo`].
     pub(crate) fn revert(&mut self, patch: SymbolPatch) {
-        match self {
-            FingerprintCache::Plain => {}
-            FingerprintCache::Rotation { symbols, .. } => {
-                for &(v, old) in patch.slots[..patch.len].iter() {
-                    symbols[v] = old;
-                }
-            }
-            FingerprintCache::Dihedral { nodes, edges, .. } => {
-                let n = nodes.len();
-                for &(slot, old) in patch.slots[..patch.len].iter() {
-                    if slot < n {
-                        nodes[slot] = old;
-                    } else {
-                        edges[slot - n] = old;
-                    }
-                }
+        if let FingerprintCache::Rotation { symbols, .. } = self {
+            for &(v, old) in patch.slots[..patch.len].iter() {
+                symbols[v] = old;
             }
         }
     }
 }
-
-/// Number of mutex-guarded partitions of the parallel visited map. A
-/// power of two well above any realistic worker count, so contention is
-/// dominated by the hash distribution, not the shard count.
-const VISITED_SHARDS: usize = 64;
 
 /// The configurable exploration engine. See the [module docs](self).
 ///
@@ -674,7 +528,6 @@ const VISITED_SHARDS: usize = 64;
 /// let ring = Ring::new(&init, |_| Hop { left: 2, released: false });
 /// let report = Explorer::new()
 ///     .symmetry(SymmetryMode::Rotation)
-///     .threads(2)
 ///     .run(&ring, |r| r.links_empty())?;
 /// assert_eq!(report.terminals, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -683,8 +536,6 @@ const VISITED_SHARDS: usize = 64;
 pub struct Explorer {
     limits: ExploreLimits,
     symmetry: SymmetryMode,
-    threads: Option<usize>,
-    certify_termination: bool,
 }
 
 impl Default for Explorer {
@@ -695,14 +546,11 @@ impl Default for Explorer {
 
 impl Explorer {
     /// Default engine: default [`ExploreLimits`],
-    /// [`SymmetryMode::Rotation`], one worker per available core,
-    /// termination certification on.
+    /// [`SymmetryMode::Rotation`].
     pub fn new() -> Self {
         Explorer {
             limits: ExploreLimits::default(),
             symmetry: SymmetryMode::default(),
-            threads: None,
-            certify_termination: true,
         }
     }
 
@@ -719,27 +567,6 @@ impl Explorer {
         self
     }
 
-    /// Sets the worker-thread count (default: available parallelism).
-    /// Every count — including `1` — runs the work-stealing engine
-    /// through [`Explorer::run`]; a single worker simply never donates,
-    /// so the same code path is exercised (and testable) at every width.
-    /// The dedicated serial DFS remains available as
-    /// [`Explorer::run_serial`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Whether the **work-stealing** engine records the quotient edge
-    /// list and certifies acyclicity after the sweep (default: `true`).
-    /// Turning this off drops the termination half of the proof in
-    /// exchange for `O(edges)` less memory; the serial engine always
-    /// detects cycles (its DFS path makes them free).
-    pub fn certify_termination(mut self, certify: bool) -> Self {
-        self.certify_termination = certify;
-        self
-    }
-
     /// The fingerprint function selected by the symmetry mode.
     fn fingerprint<B>(&self, ring: &Ring<B>) -> u64
     where
@@ -749,58 +576,31 @@ impl Explorer {
         match self.symmetry {
             SymmetryMode::Off => plain_fingerprint(ring),
             SymmetryMode::Rotation => canonical_fingerprint(ring),
-            SymmetryMode::Dihedral => dihedral_fingerprint(ring),
         }
     }
 
-    /// Explores every schedule of `ring` with the work-stealing engine at
-    /// the configured worker count. A single worker runs the *same*
-    /// engine (it just never donates work), so `threads(1)` is a
-    /// first-class, testable configuration rather than a silent reroute
-    /// to [`Explorer::run_serial`] — and with one worker the whole
-    /// report, diagnostics included, is deterministic.
+    /// Explores every schedule of `ring` with a **clone-free, in-place
+    /// DFS** over one live ring. Children are generated with the
+    /// reversible [`Ring::apply`]/[`Ring::undo`] pair instead of
+    /// deep-cloning the parent per successor, and under
+    /// [`SymmetryMode::Rotation`] the canonical fingerprint is computed
+    /// from a cached symbol vector patched at the ≤ 2 nodes a step
+    /// touches (the min-rotation is then recomputed on the patched
+    /// vector) instead of re-deriving all `n` symbols per state. The only
+    /// clone left in the hot path is the violation capture when a
+    /// terminal fails the predicate.
     ///
     /// Under [`SymmetryMode::Rotation`] the predicate must be invariant
     /// under rotation and agent relabeling (the Definition 1/2 uniform
     /// deployment predicates are): it is evaluated on one representative
     /// per equivalence class.
     ///
-    /// # Errors
-    ///
-    /// See [`ExploreError`].
-    pub fn run<B>(
-        &self,
-        ring: &Ring<B>,
-        terminal_ok: impl Fn(&Ring<B>) -> bool + Sync,
-    ) -> Result<ExploreReport, ExploreError<B>>
-    where
-        B: Behavior + Clone + Hash + Send + Sync,
-        B::Message: Clone + Hash + Send + Sync,
-    {
-        let threads = self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        });
-        self.run_stealing(ring, threads, &terminal_ok)
-    }
-
-    /// The serial engine: a **clone-free, in-place DFS** over one live
-    /// ring. Children are generated with the reversible
-    /// [`Ring::apply`]/[`Ring::undo`] pair instead of deep-cloning the
-    /// parent per successor, and under [`SymmetryMode::Rotation`] the
-    /// canonical fingerprint is computed from a cached symbol vector
-    /// patched at the ≤ 2 nodes a step touches (the min-rotation is then
-    /// recomputed on the patched vector) instead of re-deriving all `n` symbols
-    /// per state. The only clone left in the hot path is the violation
-    /// capture when a terminal fails the predicate.
-    ///
     /// Livelocks are detected as back-edges on the DFS path, exactly as in
     /// the retained clone-based reference
     /// ([`Explorer::run_serial_reference`]), and the deterministic report
     /// fields (`states`, `terminals`, `terminal_fingerprints`,
-    /// `merge_edges`) are identical to it and to the parallel engine —
-    /// `tests/explorer_differential.rs` pins all three against each other.
+    /// `merge_edges`) are identical to it —
+    /// `tests/explorer_differential.rs` pins the two against each other.
     /// `max_depth_seen`/`peak_frontier` may differ from the reference:
     /// the two DFS engines expand children in opposite sibling order, so
     /// their spanning trees (and hence first-visit depths) can differ.
@@ -808,7 +608,7 @@ impl Explorer {
     /// # Errors
     ///
     /// See [`ExploreError`].
-    pub fn run_serial<B>(
+    pub fn run<B>(
         &self,
         ring: &Ring<B>,
         mut terminal_ok: impl FnMut(&Ring<B>) -> bool,
@@ -958,9 +758,8 @@ impl Explorer {
     /// DFS that deep-clones the parent ring per child expansion and
     /// recomputes every fingerprint from scratch. Kept verbatim (modulo
     /// traceless root cloning) as the differential oracle for the
-    /// clone-free [`run_serial`](Explorer::run_serial) and the packed
-    /// parallel engine, and as the baseline of the `explore_scale`
-    /// expansion-throughput gate. Never use it for real exploration.
+    /// clone-free [`run`](Explorer::run), and as the throughput baseline
+    /// of the `explore_scale` bench. Never use it for real exploration.
     ///
     /// # Errors
     ///
@@ -1053,646 +852,6 @@ impl Explorer {
         report.terminal_fingerprints = terminal_fps;
         Ok(report)
     }
-
-    /// The **work-stealing engine**: every worker runs the clone-free
-    /// in-place DFS of [`run_serial`](Explorer::run_serial) on its own
-    /// scratch ring, and load-balances by *donating* untried sibling
-    /// activations of its deepest live state to a shared [`Injector`]
-    /// whenever the queue runs low. A donated child travels as a
-    /// delta-encoded steal handoff — one `Arc`-shared
-    /// [`PackedState`] snapshot of the parent plus the `Copy`
-    /// [`Activation`] that produces the child
-    /// ([`PackedState::restore_child_into`]) — so donating `m` siblings
-    /// costs one pack, not `m`.
-    ///
-    /// Determinism: the striped visited map admits each fingerprint
-    /// exactly once, and each (state, activation) pair is expanded by
-    /// exactly one worker (its discoverer, or the stealer it was donated
-    /// to — the donor removes donated activations from its own list), so
-    /// the transition multiset — and with it `states`, `terminals`,
-    /// sorted `terminal_fingerprints` and `merge_edges` — is a function
-    /// of the quotient graph alone, independent of stealing order.
-    fn run_stealing<B>(
-        &self,
-        ring: &Ring<B>,
-        threads: usize,
-        terminal_ok: &(impl Fn(&Ring<B>) -> bool + Sync),
-    ) -> Result<ExploreReport, ExploreError<B>>
-    where
-        B: Behavior + Clone + Hash + Send + Sync,
-        B::Message: Clone + Hash + Send + Sync,
-    {
-        let limits = self.limits;
-        let root_fp = self.fingerprint(ring);
-        if limits.max_states == 0 {
-            return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                limit: 0,
-            }));
-        }
-        if ring.enabled_activations().is_empty() {
-            if !terminal_ok(ring) {
-                return Err(ExploreError::PredicateViolated {
-                    ring: Box::new(ring.clone()),
-                    depth: 0,
-                });
-            }
-            return Ok(ExploreReport {
-                states: 1,
-                terminals: 1,
-                max_depth_seen: 0,
-                terminal_fingerprints: vec![root_fp],
-                merge_edges: 0,
-                peak_frontier: 1,
-                instance_fingerprint: None,
-            });
-        }
-
-        let visited = ShardedVisited::new();
-        visited.insert(root_fp, 0);
-        let state_count = AtomicUsize::new(1);
-        let limit_slot: Mutex<Option<SimError>> = Mutex::new(None);
-        let injector = Injector::new(threads);
-        injector.push_batch(std::iter::once(StealTask {
-            parent: Arc::new(PackedState::pack(ring)),
-            parent_fp: root_fp,
-            act: None,
-            depth: 0,
-        }));
-        let ctx = StealCtx {
-            explorer: self,
-            injector: &injector,
-            visited: &visited,
-            state_count: &state_count,
-            limit: &limit_slot,
-            terminal_ok,
-            threads,
-        };
-
-        let outs: Vec<StealOut<B>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| scope.spawn(|| steal_worker_loop(ring, &ctx)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("steal worker panicked"))
-                .collect()
-        });
-
-        // Error precedence mirrors the old layered engine: limits first
-        // (once a limit fires, every worker stops early and the other
-        // diagnostics are incomplete), then the smallest-fingerprint
-        // predicate violation (deterministic regardless of which worker
-        // captured it), then the post-sweep acyclicity check.
-        if let Some(err) = ctx
-            .limit
-            .lock()
-            .expect("explorer limit slot poisoned")
-            .take()
-        {
-            return Err(ExploreError::LimitExceeded(err));
-        }
-        let mut terminal_fps: Vec<u64> = Vec::new();
-        let mut edges: Vec<(u64, u64)> = Vec::new();
-        let mut edge_count: u64 = 0;
-        let mut max_depth_seen: usize = 0;
-        let mut violation: Option<(u64, usize, Box<Ring<B>>)> = None;
-        for mut out in outs {
-            terminal_fps.append(&mut out.terminals);
-            edges.append(&mut out.edges);
-            edge_count += out.edge_count;
-            max_depth_seen = max_depth_seen.max(out.max_depth);
-            if let Some((fp, depth, ring)) = out.violation.take() {
-                match &violation {
-                    Some((best, _, _)) if *best <= fp => {}
-                    _ => violation = Some((fp, depth, ring)),
-                }
-            }
-        }
-        if let Some((_, depth, ring)) = violation {
-            return Err(ExploreError::PredicateViolated { ring, depth });
-        }
-        let states = state_count.load(Ordering::Relaxed);
-        if self.certify_termination {
-            if let Some(depth) = find_cycle(&mut edges, &visited) {
-                return Err(ExploreError::CycleDetected { depth });
-            }
-        }
-        terminal_fps.sort_unstable();
-        Ok(ExploreReport {
-            states,
-            terminals: terminal_fps.len(),
-            max_depth_seen,
-            merge_edges: edge_count - (states as u64 - 1),
-            terminal_fingerprints: terminal_fps,
-            peak_frontier: injector.peak_outstanding(),
-            instance_fingerprint: None,
-        })
-    }
-}
-
-/// One unit of stealable work: a subtree root, delta-encoded against an
-/// `Arc`-shared parent snapshot. `act == None` only for the global root
-/// task (the root is packed directly and already counted); `act ==
-/// Some(a)` denotes the *child* of `parent` under `a` — the stealer
-/// restores the parent, applies the delta, and performs all of the
-/// child's bookkeeping (edge accounting, visited insert, terminal check)
-/// before expanding its subtree.
-struct StealTask<B: Behavior> {
-    parent: Arc<PackedState<B>>,
-    /// Fingerprint of `parent` (the recorded edge's source).
-    parent_fp: u64,
-    act: Option<Activation>,
-    /// Schedule depth of the denoted state.
-    depth: usize,
-}
-
-/// The shared work queue of the stealing engine — the "injector" of
-/// work-stealing terminology, `std`-only (`Mutex` + `Condvar`).
-///
-/// Global termination detection is built into the accounting: a task is
-/// *outstanding* from push until its executor calls
-/// [`complete`](Injector::complete), and the sweep is over exactly when
-/// no task is outstanding — an executing worker can still donate, so an
-/// empty queue alone proves nothing. Because every pop precedes its
-/// `complete`, outstanding-count zero with an empty queue is a stable
-/// property; waiting workers are woken to observe it and exit.
-struct Injector<B: Behavior> {
-    state: Mutex<InjectorState<B>>,
-    ready: Condvar,
-    /// Racy mirror of the queue length, so the donation heuristic in the
-    /// workers' hot loop is one relaxed load, not a lock acquisition.
-    approx_len: AtomicUsize,
-    /// Early-stop flag (limit hit or predicate violated): workers poll it
-    /// once per DFS iteration and abandon their subtrees.
-    stop: AtomicBool,
-    /// Queue-pressure threshold under which workers donate: 0 for a
-    /// single worker (no one to steal), `2 × threads` otherwise.
-    low_water: usize,
-}
-
-struct InjectorState<B: Behavior> {
-    queue: VecDeque<StealTask<B>>,
-    /// Tasks popped but not yet completed.
-    executing: usize,
-    /// Peak of `queue.len() + executing` — the engine's live-snapshot
-    /// working set, reported as [`ExploreReport::peak_frontier`].
-    peak: usize,
-}
-
-impl<B: Behavior> Injector<B> {
-    fn new(threads: usize) -> Self {
-        Injector {
-            state: Mutex::new(InjectorState {
-                queue: VecDeque::new(),
-                executing: 0,
-                peak: 0,
-            }),
-            ready: Condvar::new(),
-            approx_len: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            low_water: if threads > 1 { threads * 2 } else { 0 },
-        }
-    }
-
-    /// Whether workers should donate part of their untried activations.
-    fn hungry(&self) -> bool {
-        self.approx_len.load(Ordering::Relaxed) < self.low_water
-    }
-
-    fn stopped(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
-    /// Sets the early-stop flag and wakes every parked worker.
-    fn halt(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        drop(self.state.lock().expect("steal queue poisoned"));
-        self.ready.notify_all();
-    }
-
-    fn push_batch(&self, tasks: impl Iterator<Item = StealTask<B>>) {
-        let mut state = self.state.lock().expect("steal queue poisoned");
-        state.queue.extend(tasks);
-        state.peak = state.peak.max(state.queue.len() + state.executing);
-        self.approx_len.store(state.queue.len(), Ordering::Relaxed);
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Blocks until a task is available, the sweep is complete, or the
-    /// engine is halted; `None` means "go home" in the latter two cases.
-    fn acquire(&self) -> Option<StealTask<B>> {
-        let mut state = self.state.lock().expect("steal queue poisoned");
-        loop {
-            if self.stopped() {
-                return None;
-            }
-            if let Some(task) = state.queue.pop_front() {
-                state.executing += 1;
-                self.approx_len.store(state.queue.len(), Ordering::Relaxed);
-                return Some(task);
-            }
-            if state.executing == 0 {
-                // Complete: nothing queued, nothing executing. Wake the
-                // other waiters so they observe the same and exit.
-                self.ready.notify_all();
-                return None;
-            }
-            state = self.ready.wait(state).expect("steal queue poisoned");
-        }
-    }
-
-    /// Marks the most recently acquired task finished; wakes waiters if
-    /// this completed the sweep.
-    fn complete(&self) {
-        let mut state = self.state.lock().expect("steal queue poisoned");
-        state.executing -= 1;
-        if state.executing == 0 && state.queue.is_empty() {
-            drop(state);
-            self.ready.notify_all();
-        }
-    }
-
-    fn peak_outstanding(&self) -> usize {
-        self.state.lock().expect("steal queue poisoned").peak
-    }
-}
-
-/// Shared read-only context of one work-stealing sweep — everything a
-/// worker needs besides its own mutable scratch state.
-struct StealCtx<'a, B: Behavior, F> {
-    explorer: &'a Explorer,
-    injector: &'a Injector<B>,
-    visited: &'a ShardedVisited,
-    state_count: &'a AtomicUsize,
-    /// First limit error wins (race-free: set under this lock before the
-    /// halt, read once after the join).
-    limit: &'a Mutex<Option<SimError>>,
-    terminal_ok: &'a F,
-    threads: usize,
-}
-
-impl<B: Behavior, F> StealCtx<'_, B, F> {
-    /// Records a limit error (first writer wins) and halts the sweep.
-    fn set_limit(&self, limit: usize) {
-        let mut slot = self.limit.lock().expect("explorer limit slot poisoned");
-        if slot.is_none() {
-            *slot = Some(SimError::StepLimitExceeded {
-                limit: limit as u64,
-            });
-        }
-        drop(slot);
-        self.injector.halt();
-    }
-}
-
-/// One live state on a steal worker's DFS path. Same shape as the serial
-/// engine's frame, plus the lazily memoised packed snapshot used when
-/// this state's untried activations are donated.
-struct StealFrame<B: Behavior> {
-    fp: u64,
-    /// Schedule depth of this state.
-    depth: usize,
-    acts_start: usize,
-    next: usize,
-    undo: Option<(StepUndo<B>, SymbolPatch)>,
-    packed: Option<Arc<PackedState<B>>>,
-}
-
-/// Thread-local partial results of one steal worker over the whole sweep.
-struct StealOut<B: Behavior> {
-    /// Newly discovered terminal fingerprints.
-    terminals: Vec<u64>,
-    /// Recorded quotient edges (when termination certification is on).
-    edges: Vec<(u64, u64)>,
-    /// All transitions generated (tree + merge edges).
-    edge_count: u64,
-    /// Deepest schedule depth attempted.
-    max_depth: usize,
-    /// Smallest-fingerprint predicate violation this worker found, with
-    /// its depth — the cross-worker minimum makes the error choice
-    /// deterministic regardless of interleaving.
-    violation: Option<(u64, usize, Box<Ring<B>>)>,
-}
-
-impl<B: Behavior> StealOut<B> {
-    fn new() -> Self {
-        StealOut {
-            terminals: Vec::new(),
-            edges: Vec::new(),
-            edge_count: 0,
-            max_depth: 0,
-            violation: None,
-        }
-    }
-
-    fn offer_violation(&mut self, fp: u64, depth: usize, ring: Box<Ring<B>>) {
-        match &self.violation {
-            Some((best, _, _)) if *best <= fp => {}
-            _ => self.violation = Some((fp, depth, ring)),
-        }
-    }
-}
-
-/// A steal worker's mutable state: one long-lived scratch ring and
-/// fingerprint cache (restored wholesale per task), the DFS activation
-/// arena and frame stack (reused across tasks), and the partial results.
-struct StealWorker<B: Behavior> {
-    scratch: Ring<B>,
-    cache: FingerprintCache,
-    arena: Vec<Activation>,
-    stack: Vec<StealFrame<B>>,
-    out: StealOut<B>,
-}
-
-/// Worker entry point: drain the injector until the sweep completes or
-/// halts, running each task's subtree DFS.
-fn steal_worker_loop<B, F>(ring: &Ring<B>, ctx: &StealCtx<'_, B, F>) -> StealOut<B>
-where
-    B: Behavior + Clone + Hash,
-    B::Message: Clone + Hash,
-    F: Fn(&Ring<B>) -> bool,
-{
-    let scratch = ring.clone_for_exploration();
-    let cache = FingerprintCache::new(ctx.explorer.symmetry, &scratch);
-    let mut worker = StealWorker {
-        scratch,
-        cache,
-        arena: Vec::new(),
-        stack: Vec::new(),
-        out: StealOut::new(),
-    };
-    while let Some(task) = ctx.injector.acquire() {
-        steal_run_task(&mut worker, task, ctx);
-        ctx.injector.complete();
-    }
-    worker.out
-}
-
-/// Runs one steal task: decode the denoted state, perform the child's
-/// bookkeeping if the task is a delta-encoded handoff, then expand the
-/// subtree depth-first with reversible apply/undo — donating untried
-/// sibling activations of the deepest frame whenever the injector runs
-/// low.
-fn steal_run_task<B, F>(w: &mut StealWorker<B>, task: StealTask<B>, ctx: &StealCtx<'_, B, F>)
-where
-    B: Behavior + Clone + Hash,
-    B::Message: Clone + Hash,
-    F: Fn(&Ring<B>) -> bool,
-{
-    let limits = ctx.explorer.limits;
-    let certify = ctx.explorer.certify_termination;
-    let (fp, depth) = match task.act {
-        None => {
-            // The global root: already inserted and counted by the
-            // coordinator; just rehydrate and expand.
-            task.parent.restore_into(&mut w.scratch);
-            w.cache.reset(&w.scratch);
-            (task.parent_fp, task.depth)
-        }
-        Some(act) => {
-            // Delta-decode the donated child, then do all of its
-            // bookkeeping here — the donor only recorded the handoff.
-            task.parent.restore_child_into(&mut w.scratch, act);
-            w.cache.reset(&w.scratch);
-            let fp = w.cache.fingerprint(&w.scratch);
-            w.out.edge_count += 1;
-            if certify {
-                w.out.edges.push((task.parent_fp, fp));
-            }
-            w.out.max_depth = w.out.max_depth.max(task.depth);
-            if task.depth > limits.max_depth {
-                ctx.set_limit(limits.max_depth);
-                return;
-            }
-            if !ctx.visited.insert(fp, task.depth as u32) {
-                return; // merge edge: someone else got here first
-            }
-            let count = ctx.state_count.fetch_add(1, Ordering::Relaxed) + 1;
-            if count > limits.max_states {
-                ctx.set_limit(limits.max_states);
-                return;
-            }
-            if w.scratch.enabled_activations().is_empty() {
-                w.out.terminals.push(fp);
-                if !(ctx.terminal_ok)(&w.scratch) {
-                    w.out
-                        .offer_violation(fp, task.depth, Box::new(w.scratch.clone()));
-                    ctx.injector.halt();
-                }
-                return;
-            }
-            (fp, task.depth)
-        }
-    };
-
-    // Scratch now holds a visited, non-terminal state: expand its subtree
-    // exactly like the serial DFS, minus the on-path cycle check (cycles
-    // are certified globally after the sweep — see `find_cycle`).
-    w.arena.clear();
-    w.arena.extend_from_slice(w.scratch.enabled_activations());
-    w.stack.clear();
-    w.stack.push(StealFrame {
-        fp,
-        depth,
-        acts_start: 0,
-        next: 0,
-        undo: None,
-        packed: None,
-    });
-    while let Some(top) = w.stack.last_mut() {
-        if ctx.injector.stopped() {
-            // Abandon the subtree; the next task restores scratch
-            // wholesale, so no unwinding is needed.
-            return;
-        }
-        if top.acts_start + top.next >= w.arena.len() {
-            let frame = w.stack.pop().expect("stack is non-empty");
-            w.arena.truncate(frame.acts_start);
-            if let Some((undo, patch)) = frame.undo {
-                w.cache.revert(patch);
-                w.scratch.undo(undo);
-            }
-            continue;
-        }
-        // Donation: if the queue is running dry and this frame still has
-        // at least two untried activations, pack the frame's state once
-        // (memoised) and hand off half of the remaining tail as
-        // delta-encoded children. Only-child chains never donate, so the
-        // pack cost is only paid where there is real branching to share.
-        let remaining = w.arena.len() - (top.acts_start + top.next);
-        if ctx.threads > 1 && remaining >= 2 && ctx.injector.hungry() {
-            let parent = top
-                .packed
-                .get_or_insert_with(|| Arc::new(PackedState::pack(&w.scratch)))
-                .clone();
-            let parent_fp = top.fp;
-            let child_depth = top.depth + 1;
-            let from = w.arena.len() - remaining / 2;
-            ctx.injector
-                .push_batch(w.arena[from..].iter().map(|&act| StealTask {
-                    parent: parent.clone(),
-                    parent_fp,
-                    act: Some(act),
-                    depth: child_depth,
-                }));
-            w.arena.truncate(from);
-            continue;
-        }
-        let act = w.arena[top.acts_start + top.next];
-        top.next += 1;
-        let child_depth = top.depth + 1;
-        w.out.max_depth = w.out.max_depth.max(child_depth);
-        if child_depth > limits.max_depth {
-            ctx.set_limit(limits.max_depth);
-            return;
-        }
-        let undo = w.scratch.apply(act);
-        let patch = w.cache.patch(&w.scratch, &undo);
-        let child_fp = w.cache.fingerprint(&w.scratch);
-        w.out.edge_count += 1;
-        if certify {
-            w.out.edges.push((top.fp, child_fp));
-        }
-        if !ctx.visited.insert(child_fp, child_depth as u32) {
-            // Merge edge: someone else owns this state; roll back.
-            w.cache.revert(patch);
-            w.scratch.undo(undo);
-            continue;
-        }
-        let count = ctx.state_count.fetch_add(1, Ordering::Relaxed) + 1;
-        if count > limits.max_states {
-            ctx.set_limit(limits.max_states);
-            return;
-        }
-        if w.scratch.enabled_activations().is_empty() {
-            w.out.terminals.push(child_fp);
-            if !(ctx.terminal_ok)(&w.scratch) {
-                // Clone only on violation capture. The clone's
-                // configuration is exact; its metrics/phases are scratch
-                // bookkeeping, not the path's (see
-                // [`ExploreError::PredicateViolated`]).
-                w.out
-                    .offer_violation(child_fp, child_depth, Box::new(w.scratch.clone()));
-                ctx.injector.halt();
-                return;
-            }
-            w.cache.revert(patch);
-            w.scratch.undo(undo);
-            continue;
-        }
-        let acts_start = w.arena.len();
-        w.arena.extend_from_slice(w.scratch.enabled_activations());
-        w.stack.push(StealFrame {
-            fp: child_fp,
-            depth: child_depth,
-            acts_start,
-            next: 0,
-            undo: Some((undo, patch)),
-            packed: None,
-        });
-    }
-}
-
-/// The striped concurrent visited map of the work-stealing engine:
-/// fingerprint → first-seen schedule depth, hash-partitioned into
-/// [`VISITED_SHARDS`] mutex-guarded shards so workers contend only when
-/// their fingerprints collide modulo the shard count. The per-shard
-/// insert is the atomic decision point that admits each fingerprint
-/// exactly once — the root of the engine's determinism argument.
-struct ShardedVisited {
-    shards: Vec<Mutex<HashMap<u64, u32, FpBuildHasher>>>,
-}
-
-impl ShardedVisited {
-    fn new() -> Self {
-        ShardedVisited {
-            shards: (0..VISITED_SHARDS)
-                .map(|_| Mutex::new(HashMap::default()))
-                .collect(),
-        }
-    }
-
-    /// Inserts `fp` first seen at `depth`; `false` if already present.
-    fn insert(&self, fp: u64, depth: u32) -> bool {
-        let shard = (fp % VISITED_SHARDS as u64) as usize;
-        let mut map = self.shards[shard].lock().expect("visited shard poisoned");
-        match map.entry(fp) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(depth);
-                true
-            }
-        }
-    }
-
-    /// First-seen depth of a fingerprint, if visited.
-    fn layer_of(&self, fp: u64) -> Option<u32> {
-        let shard = (fp % VISITED_SHARDS as u64) as usize;
-        self.shards[shard]
-            .lock()
-            .expect("visited shard poisoned")
-            .get(&fp)
-            .copied()
-    }
-
-    /// All visited fingerprints (drains nothing; snapshot copy).
-    fn fingerprints(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            out.extend(
-                shard
-                    .lock()
-                    .expect("visited shard poisoned")
-                    .keys()
-                    .copied(),
-            );
-        }
-        out
-    }
-}
-
-/// Kahn elimination over the recorded quotient edges: returns the
-/// earliest first-seen depth among the residual states (on a cycle or
-/// downstream of one — see [`ExploreError::CycleDetected`]), or `None`
-/// when the graph is acyclic (termination certified).
-///
-/// Sound and complete on the quotient graph, which is acyclic iff the
-/// concrete configuration graph is (see [`crate::canonical`]).
-fn find_cycle(edges: &mut [(u64, u64)], visited: &ShardedVisited) -> Option<usize> {
-    edges.sort_unstable();
-    let mut indegree: HashMap<u64, u32, FpBuildHasher> = HashMap::default();
-    for &(_, to) in edges.iter() {
-        *indegree.entry(to).or_insert(0) += 1;
-    }
-    let all = visited.fingerprints();
-    let mut queue: Vec<u64> = all
-        .iter()
-        .copied()
-        .filter(|fp| !indegree.contains_key(fp))
-        .collect();
-    let mut removed = queue.len();
-    while let Some(u) = queue.pop() {
-        let start = edges.partition_point(|&(from, _)| from < u);
-        for &(_, v) in edges[start..].iter().take_while(|&&(from, _)| from == u) {
-            let d = indegree.get_mut(&v).expect("edge target counted");
-            *d -= 1;
-            if *d == 0 {
-                removed += 1;
-                queue.push(v);
-            }
-        }
-    }
-    if removed == all.len() {
-        return None;
-    }
-    // Residual states (in-degree never reached zero) lie on a cycle or
-    // downstream of one; report the earliest first-seen depth among them.
-    all.iter()
-        .filter(|fp| indegree.get(fp).is_some_and(|d| *d > 0))
-        .filter_map(|fp| visited.layer_of(*fp))
-        .min()
-        .map(|layer| layer as usize)
 }
 
 #[cfg(test)]
@@ -1758,13 +917,11 @@ mod tests {
         });
         let plain = Explorer::new()
             .symmetry(SymmetryMode::Off)
-            .threads(1)
-            .run_serial(&ring, |_| true)
+            .run(&ring, |_| true)
             .expect("plain");
         let reduced = Explorer::new()
             .symmetry(SymmetryMode::Rotation)
-            .threads(1)
-            .run_serial(&ring, |_| true)
+            .run(&ring, |_| true)
             .expect("reduced");
         assert!(
             reduced.states < plain.states,
@@ -1774,106 +931,6 @@ mod tests {
         );
         assert_eq!(reduced.terminals, 1);
         assert_eq!(plain.terminals, 1);
-    }
-
-    #[test]
-    fn parallel_engine_matches_serial_reference() {
-        let init = InitialConfig::new(8, vec![0, 2, 5]).expect("valid");
-        let ring = Ring::new(&init, |_| Walker {
-            hops: 3,
-            released: false,
-        });
-        for symmetry in [
-            SymmetryMode::Off,
-            SymmetryMode::Rotation,
-            SymmetryMode::Dihedral,
-        ] {
-            let serial = Explorer::new()
-                .symmetry(symmetry)
-                .run_serial(&ring, |_| true)
-                .expect("serial");
-            let parallel = Explorer::new()
-                .symmetry(symmetry)
-                .threads(4)
-                .run(&ring, |_| true)
-                .expect("parallel");
-            assert_eq!(serial.states, parallel.states, "{symmetry:?}");
-            assert_eq!(serial.terminals, parallel.terminals, "{symmetry:?}");
-            assert_eq!(
-                serial.terminal_fingerprints, parallel.terminal_fingerprints,
-                "{symmetry:?}"
-            );
-            assert_eq!(serial.merge_edges, parallel.merge_edges, "{symmetry:?}");
-        }
-    }
-
-    #[test]
-    fn single_worker_stealing_matches_serial_exactly() {
-        // `threads(1)` runs the work-stealing engine with one worker —
-        // no donation, one deterministic DFS — so even the
-        // engine-specific diagnostic `max_depth_seen` must equal the
-        // serial engine's (the expansion order is identical).
-        let init = InitialConfig::new(8, vec![0, 2, 5]).expect("valid");
-        let ring = Ring::new(&init, |_| Walker {
-            hops: 3,
-            released: false,
-        });
-        for symmetry in [
-            SymmetryMode::Off,
-            SymmetryMode::Rotation,
-            SymmetryMode::Dihedral,
-        ] {
-            let serial = Explorer::new()
-                .symmetry(symmetry)
-                .run_serial(&ring, |_| true)
-                .expect("serial");
-            let stealing = Explorer::new()
-                .symmetry(symmetry)
-                .threads(1)
-                .run(&ring, |_| true)
-                .expect("stealing-1");
-            assert_eq!(serial.states, stealing.states, "{symmetry:?}");
-            assert_eq!(serial.terminals, stealing.terminals, "{symmetry:?}");
-            assert_eq!(
-                serial.terminal_fingerprints, stealing.terminal_fingerprints,
-                "{symmetry:?}"
-            );
-            assert_eq!(serial.merge_edges, stealing.merge_edges, "{symmetry:?}");
-            assert_eq!(
-                serial.max_depth_seen, stealing.max_depth_seen,
-                "{symmetry:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn stealing_report_is_independent_of_worker_count() {
-        // The deterministic quadruple must not move across widths or
-        // repeated runs — donation points and steal order vary, the
-        // quotient graph does not.
-        let init = InitialConfig::new(8, vec![0, 2, 5]).expect("valid");
-        let ring = Ring::new(&init, |_| Walker {
-            hops: 3,
-            released: false,
-        });
-        let baseline = Explorer::new().threads(1).run(&ring, |_| true).expect("1");
-        for threads in [2usize, 3, 4, 8] {
-            for rep in 0..3 {
-                let report = Explorer::new()
-                    .threads(threads)
-                    .run(&ring, |_| true)
-                    .expect("stealing");
-                assert_eq!(baseline.states, report.states, "t={threads} rep={rep}");
-                assert_eq!(
-                    baseline.terminal_fingerprints, report.terminal_fingerprints,
-                    "t={threads} rep={rep}"
-                );
-                assert_eq!(
-                    baseline.merge_edges, report.merge_edges,
-                    "t={threads} rep={rep}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1888,24 +945,6 @@ mod tests {
             ExploreError::PredicateViolated { depth, .. } => assert_eq!(depth, 4),
             other => panic!("unexpected {other}"),
         }
-    }
-
-    #[test]
-    fn parallel_engine_reports_predicate_violation() {
-        let init = InitialConfig::new(6, vec![0, 3]).expect("valid");
-        let ring = Ring::new(&init, |_| Walker {
-            hops: 1,
-            released: false,
-        });
-        let err = Explorer::new()
-            .threads(3)
-            .run(&ring, |_| false)
-            .unwrap_err();
-        assert!(
-            matches!(err, ExploreError::PredicateViolated { .. }),
-            "{err}"
-        );
-        assert_eq!(err.kind(), ExploreErrorKind::PredicateViolated { depth: 4 });
     }
 
     /// An agent that ping-pongs between Ready-stay states forever.
@@ -1930,26 +969,10 @@ mod tests {
         assert!(matches!(err, ExploreError::CycleDetected { .. }), "{err}");
     }
 
-    #[test]
-    fn parallel_engine_certifies_termination_or_finds_the_cycle() {
-        let init = InitialConfig::new(3, vec![0]).expect("valid");
-        let ring = Ring::new(&init, |_| Spinner);
-        let err = Explorer::new().threads(2).run(&ring, |_| true).unwrap_err();
-        assert!(matches!(err, ExploreError::CycleDetected { .. }), "{err}");
-        // With certification off the livelock is (documented to be)
-        // invisible to the parallel engine: the sweep simply converges.
-        let report = Explorer::new()
-            .threads(2)
-            .certify_termination(false)
-            .run(&ring, |_| true)
-            .expect("safety-only sweep converges");
-        assert_eq!(report.terminals, 0);
-    }
-
     /// Moves forever: an unbounded acyclic walk on the ring… except the
     /// ring is finite, so configurations must eventually repeat through a
-    /// multi-state cycle (never a self-loop) — exercising the Kahn
-    /// elimination beyond trivial self-edges.
+    /// multi-state cycle (never a self-loop) — exercising back-edge
+    /// detection beyond trivial self-edges.
     #[derive(Clone, Hash, PartialEq, Eq)]
     struct Orbiter;
 
@@ -1967,10 +990,12 @@ mod tests {
     fn multi_state_cycles_are_found_by_both_engines() {
         let init = InitialConfig::new(4, vec![0, 2]).expect("valid");
         let ring = Ring::new(&init, |_| Orbiter);
-        let serial = explore_all_schedules(&ring, ExploreLimits::default(), |_| true).unwrap_err();
-        assert!(matches!(serial, ExploreError::CycleDetected { .. }));
-        let parallel = Explorer::new().threads(2).run(&ring, |_| true).unwrap_err();
-        assert!(matches!(parallel, ExploreError::CycleDetected { .. }));
+        let dfs = explore_all_schedules(&ring, ExploreLimits::default(), |_| true).unwrap_err();
+        assert!(matches!(dfs, ExploreError::CycleDetected { .. }));
+        let reference = Explorer::new()
+            .run_serial_reference(&ring, |_| true)
+            .unwrap_err();
+        assert!(matches!(reference, ExploreError::CycleDetected { .. }));
     }
 
     #[test]
@@ -1980,15 +1005,12 @@ mod tests {
             hops: 7,
             released: false,
         });
-        for threads in [1, 4] {
-            let err = Explorer::new()
-                .limits(ExploreLimits::new(5, 10_000))
-                .symmetry(SymmetryMode::Off)
-                .threads(threads)
-                .run(&ring, |_| true)
-                .unwrap_err();
-            assert!(matches!(err, ExploreError::LimitExceeded(_)), "{threads}");
-        }
+        let err = Explorer::new()
+            .limits(ExploreLimits::new(5, 10_000))
+            .symmetry(SymmetryMode::Off)
+            .run(&ring, |_| true)
+            .unwrap_err();
+        assert!(matches!(err, ExploreError::LimitExceeded(_)));
     }
 
     #[test]
@@ -1998,14 +1020,11 @@ mod tests {
             hops: 4,
             released: false,
         });
-        for threads in [1, 4] {
-            let err = Explorer::new()
-                .limits(ExploreLimits::new(1_000_000, 3))
-                .threads(threads)
-                .run(&ring, |_| true)
-                .unwrap_err();
-            assert!(matches!(err, ExploreError::LimitExceeded(_)), "{threads}");
-        }
+        let err = Explorer::new()
+            .limits(ExploreLimits::new(1_000_000, 3))
+            .run(&ring, |_| true)
+            .unwrap_err();
+        assert!(matches!(err, ExploreError::LimitExceeded(_)));
     }
 
     #[test]

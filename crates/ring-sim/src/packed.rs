@@ -1,6 +1,6 @@
-//! Bit-packed snapshots of the **schedule-relevant** configuration — the
-//! compact state representation the exhaustive explorer's work-stealing
-//! engine hands between workers as steal tasks.
+//! Bit-packed snapshots of the **schedule-relevant** configuration — a
+//! compact, allocation-light state representation for tools that park
+//! many configurations at once.
 //!
 //! A deep [`Ring`] clone carries `O(n + k)` separate heap allocations
 //! (one `Vec` per staying set, one `VecDeque` per link and inbox, plus
@@ -22,25 +22,15 @@
 //!   inboxes are empty (the common case by far).
 //!
 //! [`PackedState::restore_into`] rehydrates a live engine **in place**,
-//! reusing the target ring's allocations, so a worker unpacks stolen
-//! states into one long-lived scratch ring with no steady-state heap
-//! traffic. Metrics, phase tallies, the trace and the step counter of the
-//! target are deliberately left untouched: they are schedule-history, not
+//! reusing the target ring's allocations, so snapshots unpack into one
+//! long-lived scratch ring with no steady-state heap traffic. Metrics,
+//! phase tallies, the trace and the step counter of the target are
+//! deliberately left untouched: they are schedule-history, not
 //! configuration, and are excluded from state identity (the fingerprint
 //! ignores them too).
-//!
-//! Steal handoffs are **delta-encoded**: when a worker donates several
-//! untried children of one state, it packs the parent once (shared via
-//! `Arc`) and ships each child as the parent plus the `Copy`
-//! [`Activation`] that produces it —
-//! [`PackedState::restore_child_into`] decodes the pair on the stealing
-//! side. Donating `m` siblings therefore costs one `pack`, not `m`.
 
-use crate::action::Idle;
 use crate::agent::Behavior;
-use crate::config::Place;
 use crate::engine::{Ring, IN_TRANSIT};
-use crate::scheduler::Activation;
 use crate::{AgentId, NodeId};
 
 /// A compact snapshot of one configuration. See the [module docs](self).
@@ -239,25 +229,8 @@ where
         ring.refresh_enabled();
     }
 
-    /// Rehydrates `ring` to this snapshot's **child** under `act`: the
-    /// decode side of the work-stealing explorer's delta-encoded steal
-    /// handoff (parent snapshot + activation, see the [module
-    /// docs](self)). The undo record of the applied step is discarded —
-    /// a stolen subtree root is never rolled back past itself.
-    ///
-    /// # Panics
-    ///
-    /// As [`restore_into`](PackedState::restore_into); additionally,
-    /// `act` must be enabled in the restored parent (it was when the
-    /// donor packed it — [`Ring::apply`] panics on a disabled
-    /// activation).
-    pub fn restore_child_into(&self, ring: &mut Ring<B>, act: Activation) {
-        self.restore_into(ring);
-        let _undo = ring.apply(act);
-    }
-
-    /// Heap bytes this snapshot owns (payload of the six buffers) —
-    /// the per-state memory figure the exploration benchmark reports.
+    /// Heap bytes this snapshot owns (payload of the six buffers) — the
+    /// per-state memory figure benchmarks report.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.agents.len() * size_of::<u32>()
@@ -274,40 +247,6 @@ where
                 .as_ref()
                 .map_or(0, |f| f.acted.len() * size_of::<u64>() + f.crashed.len())
     }
-}
-
-/// Estimated heap bytes of a deep [`Ring`] clone — what one frontier entry
-/// cost before packed states. Counts buffer payloads plus the `Vec`/
-/// `VecDeque` headers (3 words each) that a clone allocates per node and
-/// per agent; metrics, phases and trace are included since the clone
-/// carries them too. An estimate for benchmark reporting, not an exact
-/// allocator measurement.
-pub fn ring_heap_bytes<B: Behavior>(ring: &Ring<B>) -> usize {
-    use std::mem::size_of;
-    let header = 3 * size_of::<usize>();
-    let n = ring.ring_size();
-    let k = ring.agent_count();
-    let staying: usize = ring
-        .staying_sets()
-        .iter()
-        .map(|p| header + p.len() * size_of::<AgentId>())
-        .sum();
-    let links: usize = ring
-        .link_queues()
-        .iter()
-        .map(|q| header + q.len() * size_of::<AgentId>())
-        .sum();
-    let inboxes: usize = (0..k)
-        .map(|i| header + ring.inbox_len(AgentId(i)) * size_of::<B::Message>())
-        .sum();
-    n * size_of::<u32>()                 // tokens
-        + staying
-        + links
-        + inboxes
-        + k * (size_of::<B>() + size_of::<Place>() + size_of::<Idle>() + 2 * size_of::<usize>())
-        + k * (2 * size_of::<usize>() + size_of::<u64>()) // enabled set
-        + 2 * k * size_of::<u64>()       // metrics counters
-        + 64 // metrics scalars + phases
 }
 
 #[cfg(test)]
@@ -396,47 +335,6 @@ mod tests {
                 assert_eq!(scratch.link_queues(), original.link_queues());
             }
         }
-    }
-
-    #[test]
-    fn delta_encoded_child_restores_exactly() {
-        // The steal handoff (parent snapshot + activation) must decode to
-        // the same configuration as stepping a deep clone of the parent —
-        // for every enabled activation of assorted mid-run states.
-        for seed in 0..10u64 {
-            for steps in [0usize, 3, 7] {
-                let parent = mid_run_ring(seed, steps);
-                let packed = PackedState::pack(&parent);
-                for i in 0..parent.enabled_activations().len() {
-                    let act = parent.enabled_activations()[i];
-                    let mut expected = parent.clone();
-                    expected.step(act);
-                    let mut scratch = mid_run_ring(seed ^ 0xbeef, steps + 1);
-                    packed.restore_child_into(&mut scratch, act);
-                    assert_eq!(
-                        plain_fingerprint(&scratch),
-                        plain_fingerprint(&expected),
-                        "seed {seed} steps {steps} act {act:?}"
-                    );
-                    assert_eq!(
-                        scratch.enabled_activations(),
-                        expected.enabled_activations()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_state_is_a_fraction_of_a_clone() {
-        let ring = mid_run_ring(7, 5);
-        let packed = PackedState::pack(&ring);
-        assert!(
-            packed.heap_bytes() * 4 < ring_heap_bytes(&ring),
-            "packed {} vs clone {}",
-            packed.heap_bytes(),
-            ring_heap_bytes(&ring)
-        );
     }
 
     #[test]

@@ -47,6 +47,6 @@ pub use period::{
 };
 pub use rotation::{
     canonical_rotation, compare_rotations, min_rotation, min_rotation_elim, min_rotation_naive,
-    min_rotation_pair, min_rotation_with, shift, shifted_eq,
+    min_rotation_with, shift, shifted_eq,
 };
 pub use symmetry::{fundamental, is_cyclically_periodic, symmetry_degree};

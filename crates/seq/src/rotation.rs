@@ -238,46 +238,6 @@ pub fn canonical_rotation<T: Ord + Clone>(seq: &[T]) -> Vec<T> {
     shift(seq, min_rotation(seq))
 }
 
-/// Minimal rotation over **two** sequences of equal length: the
-/// lexicographically least among all `2n` rotations of `a` and `b`
-/// together. Returns `(x, use_b)` where the winner is `shift(b, x)` if
-/// `use_b` and `shift(a, x)` otherwise.
-///
-/// Ties resolve to `a` over `b`, and to the smallest rotation index
-/// within the chosen sequence — the deterministic tie rule dihedral
-/// canonicalization needs (`a` = the forward reading of a ring, `b` = the
-/// reflected reading; see `ringdeploy-sim`'s canonical module).
-///
-/// # Panics
-///
-/// Panics if the sequences differ in length.
-///
-/// # Examples
-///
-/// ```
-/// use ringdeploy_seq::{min_rotation_pair, shift};
-/// // The reflected reading holds the smaller rotation here.
-/// let (x, use_b) = min_rotation_pair(&[3u64, 1, 2], &[2u64, 0, 3], &mut Vec::new());
-/// assert!(use_b);
-/// assert_eq!(shift(&[2u64, 0, 3], x), vec![0, 3, 2]);
-/// // Ties prefer the first sequence.
-/// assert_eq!(min_rotation_pair(&[1u64, 2], &[2u64, 1], &mut Vec::new()), (0, false));
-/// ```
-pub fn min_rotation_pair<T: Ord>(a: &[T], b: &[T], scratch: &mut Vec<usize>) -> (usize, bool) {
-    assert_eq!(a.len(), b.len(), "paired sequences must share a length");
-    let n = a.len();
-    let ra = min_rotation_elim(a, scratch);
-    let rb = min_rotation_elim(b, scratch);
-    for i in 0..n {
-        match a[(ra + i) % n].cmp(&b[(rb + i) % n]) {
-            Ordering::Less => return (ra, false),
-            Ordering::Greater => return (rb, true),
-            Ordering::Equal => {}
-        }
-    }
-    (ra, false)
-}
-
 /// Reference implementation of [`min_rotation`]: compares all rotations in
 /// `O(n²)`. Exposed for differential testing and teaching; prefer
 /// [`min_rotation`] in real code.
@@ -384,33 +344,6 @@ mod tests {
         // Non-rotations disagree.
         assert_ne!(canonical_rotation(&[1u64, 4, 2, 1, 2, 3]), canon);
         assert_eq!(canonical_rotation::<u64>(&[]), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn min_rotation_pair_matches_exhaustive_minimum() {
-        // All pairs of sequences over {0,1} of length up to 5: the pair
-        // minimum must equal the smaller of the two per-sequence minima,
-        // with ties going to `a` and to the smallest index.
-        let mut scratch = Vec::new();
-        for len in 1..=5usize {
-            for bits in 0..(1u32 << (2 * len)) {
-                let a: Vec<u8> = (0..len).map(|i| (bits >> i & 1) as u8).collect();
-                let b: Vec<u8> = (0..len).map(|i| (bits >> (len + i) & 1) as u8).collect();
-                let (x, use_b) = min_rotation_pair(&a, &b, &mut scratch);
-                let winner = if use_b { shift(&b, x) } else { shift(&a, x) };
-                let best = (0..len)
-                    .flat_map(|r| [shift(&a, r), shift(&b, r)])
-                    .min()
-                    .unwrap();
-                assert_eq!(winner, best, "a {a:?} b {b:?}");
-                if !use_b {
-                    assert_eq!(x, min_rotation_naive(&a));
-                } else {
-                    // `b` wins only strictly.
-                    assert!(shift(&b, x) < shift(&a, min_rotation_naive(&a)));
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,12 +4,8 @@
 //! engines, and it deliberately pins every free parameter so the result
 //! is a pure function of the key (the cache-soundness requirement):
 //!
-//! * exploration runs the **clone-free serial DFS**
-//!   ([`explore_one_serial`]) — the work-stealing engine is
-//!   deterministic at one worker too, but its `peak_frontier` metric
-//!   (peak outstanding steal tasks) differs from the serial engine's
-//!   (peak DFS path depth), and the serial engine keeps cached results
-//!   byte-identical with every pre-0.9 cache;
+//! * exploration runs [`explore_one`] under the default rotation
+//!   quotient;
 //! * search limits are always [`ExploreLimits::for_instance`];
 //! * certification always uses [`CertifySettings::default`].
 //!
@@ -19,7 +15,7 @@
 //! any payload a client receives.
 
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
-use ringdeploy_analysis::{certify_one, explore_one_serial, worst_case_one, CertifySettings};
+use ringdeploy_analysis::{certify_one, explore_one, worst_case_one, CertifySettings};
 use ringdeploy_core::Deployment;
 use ringdeploy_json::{Json, ToJson};
 use ringdeploy_sim::adversary::Adversary;
@@ -52,7 +48,7 @@ pub fn compute(key: &InstanceKey) -> Result<Json, String> {
         }
         JobKind::Explore => {
             let explorer = Explorer::new().limits(ExploreLimits::for_instance(n, k));
-            let mut report = explore_one_serial(key.algorithm, &init, &explorer)
+            let mut report = explore_one(key.algorithm, &init, &explorer)
                 .map_err(|e| format!("{}: {e}", key.label()))?;
             report.instance_fingerprint = Some(fingerprint);
             Ok(report.to_json())

@@ -24,18 +24,11 @@
 //! * `--sync`                 run in lock-step rounds and report ideal time
 //! * `--explore`              exhaustively verify EVERY fair schedule of the
 //!   instance (symmetry-reduced bounded model checking) instead of running one
-//! * `--explore-serial`       with `--explore`: force the clone-free serial
-//!   DFS instead of the work-stealing engine
-//! * `--explore-threads <t>`  with `--explore`: run the work-stealing engine
-//!   with exactly `t` workers (default: one per available core)
 //! * `--adversary <obj>`      synthesise the exact worst-case schedule for
 //!   `moves` | `activations` | `memory` (branch-and-bound over every fair
 //!   schedule) and report the maximum with its replayable witness
 //! * `--symmetry <mode>`      state-space quotient for `--explore` /
-//!   `--adversary`: `off` | `rotation` (default) | `dihedral`. Dihedral
-//!   adds reflection + relabeling of indistinguishable co-located agents;
-//!   it is validated per instance (see DESIGN.md §0.11) and reports a
-//!   quotient cycle where the fold does not apply
+//!   `--adversary`: `off` | `rotation` (default)
 //! * `--certify`              certify the paper bounds: adversarial exact
 //!   worst case for all three objectives vs. the recorded `c·k·n`-style
 //!   bounds, with the competitive ratio vs. the offline oracle; exits
@@ -86,8 +79,6 @@ struct Options {
     schedule: Schedule,
     schedule_set: bool,
     explore: bool,
-    explore_serial: bool,
-    explore_threads: Option<usize>,
     adversary: Option<Objective>,
     symmetry: SymmetryMode,
     symmetry_set: bool,
@@ -103,8 +94,8 @@ fn usage() -> &'static str {
     "usage: ringdeploy --n <nodes> (--homes a,b,c | --k <agents> [--seed s]) \
      [--algo algo1|algo2|relaxed|partial-gathering [--g <size>]] \
      [--schedule round-robin|random:<seed>|one-at-a-time|delay:<agent>] \
-     [--sync] [--explore [--explore-serial | --explore-threads <t>]] \
-     [--adversary moves|activations|memory] [--symmetry off|rotation|dihedral] \
+     [--sync] [--explore] \
+     [--adversary moves|activations|memory] [--symmetry off|rotation] \
      [--certify [--tier sweep|exhaustive|adversarial]] \
      [--faults crash=<agent>@<step>,dynamic-edge[:<budget>]] [--render] [--json]"
 }
@@ -120,8 +111,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         schedule: Schedule::RoundRobin,
         schedule_set: false,
         explore: false,
-        explore_serial: false,
-        explore_threads: None,
         adversary: None,
         symmetry: SymmetryMode::Rotation,
         symmetry_set: false,
@@ -171,16 +160,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--sync" => opts.schedule = Schedule::Synchronous,
             "--explore" => opts.explore = true,
-            "--explore-serial" => opts.explore_serial = true,
-            "--explore-threads" => {
-                let t: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--explore-threads: {e}"))?;
-                if t == 0 {
-                    return Err("--explore-threads must be at least 1".to_string());
-                }
-                opts.explore_threads = Some(t);
-            }
             "--adversary" => {
                 opts.adversary = Some(match value(&mut i)?.as_str() {
                     "moves" | "total-moves" => Objective::TotalMoves,
@@ -193,7 +172,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.symmetry = match value(&mut i)?.as_str() {
                     "off" | "none" => SymmetryMode::Off,
                     "rotation" => SymmetryMode::Rotation,
-                    "dihedral" => SymmetryMode::Dihedral,
                     other => return Err(format!("unknown symmetry mode `{other}`")),
                 };
                 opts.symmetry_set = true;
@@ -221,18 +199,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.homes.is_none() && opts.k.is_none() {
         return Err(format!("one of --homes / --k is required\n{}", usage()));
-    }
-    if opts.explore_serial && !opts.explore {
-        return Err(format!("--explore-serial requires --explore\n{}", usage()));
-    }
-    if opts.explore_threads.is_some() && !opts.explore {
-        return Err(format!("--explore-threads requires --explore\n{}", usage()));
-    }
-    if opts.explore_threads.is_some() && opts.explore_serial {
-        return Err(format!(
-            "--explore-serial and --explore-threads are mutually exclusive\n{}",
-            usage()
-        ));
     }
     if let Some(g) = opts.g {
         if !opts.algo.name().starts_with("partial-gathering") {
@@ -455,7 +421,6 @@ fn explore(opts: &Options, init: &InitialConfig) -> Result<(), String> {
     let quotient = match opts.symmetry {
         SymmetryMode::Off => "no quotient",
         SymmetryMode::Rotation => "rotation quotient",
-        SymmetryMode::Dihedral => "dihedral quotient",
     };
     println!("algorithm : {}", opts.algo.name());
     println!("mode      : exhaustive (every fair schedule, {quotient})");
@@ -479,8 +444,7 @@ fn explore(opts: &Options, init: &InitialConfig) -> Result<(), String> {
     );
     println!("merges    : {} back/cross edges", report.merge_edges);
     println!(
-        "frontier  : {} peak live snapshots (serial: deepest DFS path; \
-         stealing: peak outstanding steal tasks)",
+        "frontier  : {} peak live states (deepest DFS stack)",
         report.peak_frontier
     );
     Ok(())
@@ -490,24 +454,17 @@ fn explore_instance(
     opts: &Options,
     init: &InitialConfig,
 ) -> Result<ringdeploy::sim::explore::ExploreReport, String> {
-    use ringdeploy::analysis::{explore_one, explore_one_serial};
+    use ringdeploy::analysis::explore_one;
     use ringdeploy::sim::explore::{ExploreLimits, Explorer};
 
-    let mut explorer = Explorer::new()
+    let explorer = Explorer::new()
         .limits(ExploreLimits::for_instance(
             init.ring_size(),
             init.agent_count(),
         ))
         .symmetry(opts.symmetry);
-    if let Some(threads) = opts.explore_threads {
-        explorer = explorer.threads(threads);
-    }
-    let result = if opts.explore_serial {
-        explore_one_serial(opts.algo, init, &explorer)
-    } else {
-        explore_one(opts.algo, init, &explorer)
-    };
-    result.map_err(|e| format!("exhaustive verification FAILED: {e}"))
+    explore_one(opts.algo, init, &explorer)
+        .map_err(|e| format!("exhaustive verification FAILED: {e}"))
 }
 
 /// Synthesises the exact worst-case schedule for one objective

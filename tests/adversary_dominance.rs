@@ -3,14 +3,14 @@
 //! * **dominance over sampling** — on every exhaustive-tier instance the
 //!   adversarial exact maximum is ≥ the maximum over a 64-seed random
 //!   sweep (plus the deterministic adversary presets);
-//! * **quotient soundness** — the rotation- and dihedral-quotiented
-//!   searches (with the admissible move-bound prune enabled, the
-//!   production default) report exactly the value of the unpruned plain
-//!   search (`SymmetryMode::Off`), which enumerates every reachable
-//!   concrete configuration;
+//! * **quotient soundness** — the rotation-quotiented search (with the
+//!   admissible move-bound prune enabled, the production default)
+//!   reports exactly the value of the unpruned plain search
+//!   (`SymmetryMode::Off`), which enumerates every reachable concrete
+//!   configuration;
 //! * **full coverage** — with the bound prune disabled, the search's
 //!   `distinct_states` equals the exhaustive explorer's `states` in the
-//!   same mode (all three modes): the maximum really is taken over the
+//!   same mode (both modes): the maximum really is taken over the
 //!   explorer's *entire* reachable state space, not a subset;
 //! * **independent recomputation** — a reference algorithm of a
 //!   different shape (top-down dynamic programming on the
@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use ringdeploy::analysis::explore_one;
-use ringdeploy::sim::adversary::{Adversary, AdversaryError, Objective, WorstCase};
+use ringdeploy::sim::adversary::{Adversary, Objective, WorstCase};
 use ringdeploy::sim::canonical::plain_fingerprint;
 use ringdeploy::sim::explore::{ExploreLimits, Explorer, SymmetryMode};
 use ringdeploy::sim::{Behavior, Ring};
@@ -33,13 +33,13 @@ use ringdeploy::{
 /// completes for all three families.
 const INSTANCES: &[(usize, &[usize])] = &[(8, &[0, 4]), (8, &[0, 1, 2]), (12, &[0, 3, 6, 9])];
 
-fn try_adversary_value(
+fn adversary_value(
     algorithm: Algorithm,
     init: &InitialConfig,
     symmetry: SymmetryMode,
     objective: Objective,
     prune: bool,
-) -> Result<WorstCase, AdversaryError> {
+) -> WorstCase {
     let adversary = Adversary::new()
         .limits(ExploreLimits::for_instance(
             init.ring_size(),
@@ -48,16 +48,6 @@ fn try_adversary_value(
         .symmetry(symmetry)
         .bound_prune(prune);
     ringdeploy::analysis::worst_case_one(algorithm, init, &adversary, objective)
-}
-
-fn adversary_value(
-    algorithm: Algorithm,
-    init: &InitialConfig,
-    symmetry: SymmetryMode,
-    objective: Objective,
-    prune: bool,
-) -> WorstCase {
-    try_adversary_value(algorithm, init, symmetry, objective, prune)
         .unwrap_or_else(|e| panic!("{algorithm} {objective} {symmetry:?}: {e}"))
 }
 
@@ -90,9 +80,9 @@ fn adversarial_max_dominates_random_sweeps_and_equals_plain_search() {
                 }
             }
             for (objective, sampled_max) in Objective::ALL.into_iter().zip(sampled) {
-                // Pruned quotiented searches (the production default)
+                // The pruned quotiented search (the production default)
                 // against the fully-enumerated plain baseline: the
-                // symmetry fold *and* the admissible move-bound prune
+                // rotation fold *and* the admissible move-bound prune
                 // must both be value-preserving on the real algorithms.
                 let rotation =
                     adversary_value(algorithm, &init, SymmetryMode::Rotation, objective, true);
@@ -109,24 +99,6 @@ fn adversarial_max_dominates_random_sweeps_and_equals_plain_search() {
                     "{algorithm} {objective} n={n} homes={homes:?}: quotiented and plain \
                      searches disagree"
                 );
-                // The dihedral fold is not universally sound (reflection
-                // is not an automorphism of the *directed* ring, see
-                // DESIGN.md §0.11): on reflection-symmetric instances it
-                // can merge a reachable state with its distinct mirror
-                // and report a spurious quotient cycle. A detected cycle
-                // is the fold declaring itself inapplicable — skip; but
-                // whenever the search *completes*, its value must be
-                // exact.
-                match try_adversary_value(algorithm, &init, SymmetryMode::Dihedral, objective, true)
-                {
-                    Ok(dihedral) => assert_eq!(
-                        dihedral.value, plain.value,
-                        "{algorithm} {objective} n={n} homes={homes:?}: dihedral quotient \
-                         and plain searches disagree"
-                    ),
-                    Err(AdversaryError::CycleDetected { .. }) => {}
-                    Err(e) => panic!("{algorithm} {objective} n={n} Dihedral: {e}"),
-                }
             }
         }
     }
@@ -137,40 +109,12 @@ fn search_covers_exactly_the_explorers_reachable_space() {
     for &(n, homes) in INSTANCES {
         let init = InitialConfig::new(n, homes.to_vec()).expect("valid");
         for algorithm in Algorithm::ALL {
-            for symmetry in [
-                SymmetryMode::Off,
-                SymmetryMode::Rotation,
-                SymmetryMode::Dihedral,
-            ] {
+            for symmetry in [SymmetryMode::Off, SymmetryMode::Rotation] {
                 let explorer = Explorer::new()
                     .limits(ExploreLimits::for_instance(n, init.agent_count()))
-                    .symmetry(symmetry)
-                    .threads(1);
-                let explored = match explore_one(algorithm, &init, &explorer) {
-                    Ok(explored) => explored,
-                    // The dihedral fold can merge a state with its
-                    // distinct mirror and report a spurious quotient
-                    // livelock — the fold declaring itself inapplicable
-                    // to this instance (DESIGN.md §0.11). Skip; the
-                    // adversary detects the same cycle.
-                    Err(e) if symmetry == SymmetryMode::Dihedral => {
-                        let err = try_adversary_value(
-                            algorithm,
-                            &init,
-                            symmetry,
-                            Objective::TotalMoves,
-                            false,
-                        )
-                        .expect_err("explorer saw a quotient cycle, so must the adversary");
-                        assert!(
-                            matches!(err, AdversaryError::CycleDetected { .. }),
-                            "{algorithm} n={n} {symmetry:?}: explorer failed ({e}) but the \
-                             adversary failed differently: {err}"
-                        );
-                        continue;
-                    }
-                    Err(e) => panic!("{algorithm} n={n} {symmetry:?}: {e}"),
-                };
+                    .symmetry(symmetry);
+                let explored = explore_one(algorithm, &init, &explorer)
+                    .unwrap_or_else(|e| panic!("{algorithm} n={n} {symmetry:?}: {e}"));
                 // The objective does not change reachability; one check
                 // per objective pins that the unpruned search neither
                 // skips nor invents states. The bound prune is turned

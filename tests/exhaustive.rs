@@ -18,17 +18,14 @@ use ringdeploy::{
 
 /// Runs the symmetry-reduced explorer on one instance through the shared
 /// algorithm dispatch (`analysis::explore_one`), asserting success and
-/// returning the report. Two workers exercise the work-stealing engine
-/// (donation, striped visited map) at verification scale regardless of
-/// host core count; the serial reference is differentially checked in
-/// `explorer_differential.rs`.
+/// returning the report. The clone-based reference is differentially
+/// checked against the same engine in `explorer_differential.rs`.
 fn verify_instance(n: usize, homes: &[usize], algorithm: Algorithm) -> ExploreReport {
     let k = homes.len();
     let init = InitialConfig::new(n, homes.to_vec()).expect("valid instance");
     let explorer = Explorer::new()
         .limits(ExploreLimits::for_instance(n, k))
-        .symmetry(SymmetryMode::Rotation)
-        .threads(2);
+        .symmetry(SymmetryMode::Rotation);
     let report = explore_one(algorithm, &init, &explorer)
         .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: {e}"));
     assert!(report.terminals >= 1, "n={n} homes={homes:?}");
@@ -96,9 +93,8 @@ fn relaxed_correct_under_all_schedules() {
 }
 
 // ---------------------------------------------------------------------
-// Verification at n ≥ 12, k = 4 — the scale the rotation-quotient +
-// parallel engine unlocked (the plain serial DFS topped out around
-// n = 10 / k = 3). Each algorithm family is machine-checked on one
+// Verification at n ≥ 12, k = 4 — the scale the rotation quotient
+// unlocked (the plain unquotiented DFS topped out around n = 10 / k = 3). Each algorithm family is machine-checked on one
 // clustered (worst-case spread, aperiodic) and one symmetric instance.
 // ---------------------------------------------------------------------
 
@@ -157,9 +153,9 @@ fn relaxed_exhaustive_n16_k4_uniform() {
 
 // ---------------------------------------------------------------------
 // Verification at n = 20, k = 4 — the scale the 0.5 reversible engine
-// unlocked (clone-free in-place DFS + packed parallel frontier +
-// incremental canonical fingerprints; the clone-based 0.4 engine topped
-// out at n = 16 within the same time budgets). One symmetric instance
+// unlocked (clone-free in-place DFS + incremental canonical
+// fingerprints; the clone-based 0.4 engine topped out at n = 16 within
+// the same time budgets). One symmetric instance
 // per algorithm family, machine-checked over every fair schedule.
 // ---------------------------------------------------------------------
 
@@ -186,19 +182,14 @@ fn relaxed_exhaustive_n20_k4_uniform() {
 fn algo1_exhaustive_n14_k6() {
     // Six agents spread over 14 nodes (distance sequence 2,2,2,2,2,4 —
     // aperiodic, so the quotient cannot help): ~178 k states, the widest
-    // branching in the suite, exercising the packed parallel frontier at
-    // real scale.
+    // branching in the suite.
     let report = verify_instance(14, &[0, 2, 4, 6, 8, 10], Algorithm::FullKnowledge);
     assert_eq!(report.terminals, 1);
 }
 
 // ---------------------------------------------------------------------
-// Verification at n = 24, k = 4 and n = 16, k = 6 — the ceiling the 0.9
-// work-stealing explorer unlocked (per-worker clone-free DFS over
-// delta-encoded PackedState steal handoffs + a striped concurrent
-// visited map; the 0.4 barrier-synchronized BFS paid more in layer
-// merges than it won back in parallelism). Every family, including
-// g-partial gathering, is machine-checked at the new scale.
+// Verification at n = 24, k = 4 and n = 16, k = 6. Every family,
+// including g-partial gathering, is machine-checked at this scale.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -254,12 +245,10 @@ fn symmetry_reduction_preserves_the_verdict() {
     let ring = Ring::new(&init, |_| FullKnowledge::new(4));
     let plain = Explorer::new()
         .symmetry(SymmetryMode::Off)
-        .threads(1)
         .run(&ring, pred)
         .expect("plain exploration");
     let reduced = Explorer::new()
         .symmetry(SymmetryMode::Rotation)
-        .threads(1)
         .run(&ring, pred)
         .expect("reduced exploration");
     assert!(

@@ -3,22 +3,17 @@
 //! * every terminal configuration reached by sampled (seeded random)
 //!   executions appears in the exhaustive explorer's terminal set — the
 //!   explorer really does cover everything sampling can find;
-//! * the work-stealing engine reports identical state/terminal counts,
-//!   terminal fingerprints and merge-edge diagnostics to the clone-free
-//!   serial DFS and the retained clone-based reference, across all five
-//!   problem families × FIFO/LIFO link disciplines × worker counts
-//!   {1, 2, 4}, and every engine agrees on *whether* an instance fails
+//! * the clone-free DFS reports identical state/terminal counts, terminal
+//!   fingerprints and merge-edge diagnostics to the retained clone-based
+//!   reference, across all five problem families × FIFO/LIFO link
+//!   disciplines, and both engines agree on *whether* an instance fails
 //!   (a family that breaks under LIFO overtaking must be rejected by
-//!   all of them);
-//! * limit enforcement is race-free: the `max_states` boundary between
-//!   success and `LimitExceeded` sits at exactly the same count for
-//!   every engine and worker count;
-//! * a property test pins that the stealing order never changes the
-//!   report (random instances, workers ∈ {2, 3, 4} vs the serial DFS).
+//!   both);
+//! * limit enforcement is exact: the `max_states` boundary between
+//!   success and `LimitExceeded` sits at exactly the state count of the
+//!   space for both engines.
 
-use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use ringdeploy::core::ExploreEngine;
 use ringdeploy::sim::canonical::{canonical_fingerprint, plain_fingerprint};
 use ringdeploy::sim::explore::{
     ExploreErrorKind, ExploreLimits, ExploreReport, Explorer, SymmetryMode,
@@ -30,15 +25,14 @@ use ringdeploy::sim::{
 };
 use ringdeploy::{FullKnowledge, InitialConfig, LogSpace, NoKnowledge, PartialGathering, Ring};
 
-fn explore<B>(init: &InitialConfig, make: impl Fn() -> B + Sync, halts: bool) -> ExploreReport
+fn explore<B>(init: &InitialConfig, make: impl Fn() -> B, halts: bool) -> ExploreReport
 where
-    B: Behavior + Clone + std::hash::Hash + Send + Sync,
-    B::Message: Clone + std::hash::Hash + Send + Sync,
+    B: Behavior + Clone + std::hash::Hash,
+    B::Message: Clone + std::hash::Hash,
 {
     let ring = Ring::new(init, |_| make());
     Explorer::new()
         .symmetry(SymmetryMode::Rotation)
-        .threads(1)
         .run(&ring, move |r| {
             if halts {
                 satisfies_halting_deployment(r).is_satisfied()
@@ -53,12 +47,12 @@ where
 /// fingerprint must be a member of the exhaustive terminal set.
 fn sampled_terminals_are_covered<B>(
     init: &InitialConfig,
-    make: impl Fn() -> B + Sync,
+    make: impl Fn() -> B,
     halts: bool,
     label: &str,
 ) where
-    B: Behavior + Clone + std::hash::Hash + Send + Sync,
-    B::Message: Clone + std::hash::Hash + Send + Sync,
+    B: Behavior + Clone + std::hash::Hash,
+    B::Message: Clone + std::hash::Hash,
 {
     let report = explore(init, &make, halts);
     assert!(report.terminals >= 1, "{label}");
@@ -98,12 +92,11 @@ fn relaxed_sampled_terminals_subset_of_exhaustive() {
     sampled_terminals_are_covered(&init, NoKnowledge::new, false, "relaxed");
 }
 
-/// The clone-free in-place serial DFS and the packed-state parallel BFS
-/// must both agree with the **retained clone-based reference explorer**
-/// on every deterministic report field, for all three algorithms and both
-/// symmetry modes on the PR 3 differential instances (`max_depth_seen`
-/// and `peak_frontier` are the documented exceptions: DFS spanning trees
-/// and BFS layers measure depth and live-state width differently).
+/// The clone-free in-place DFS must agree with the **retained clone-based
+/// reference explorer** on every deterministic report field, for all
+/// three algorithms and both symmetry modes (`max_depth_seen` and
+/// `peak_frontier` are the documented exceptions: the two DFS engines
+/// expand siblings in opposite order, so their spanning trees differ).
 #[test]
 fn clone_free_engines_match_clone_based_reference() {
     let cases: Vec<(&str, InitialConfig)> = vec![
@@ -120,43 +113,41 @@ fn clone_free_engines_match_clone_based_reference() {
         let k = init.agent_count();
         for symmetry in [SymmetryMode::Off, SymmetryMode::Rotation] {
             for algo in 0..3 {
-                let (reference, serial, parallel) = match algo {
-                    0 => run_three(init, || FullKnowledge::new(k), true, symmetry),
-                    1 => run_three(init, || LogSpace::new(k), true, symmetry),
-                    _ => run_three(init, NoKnowledge::new, false, symmetry),
+                let (reference, report) = match algo {
+                    0 => run_both(init, || FullKnowledge::new(k), true, symmetry),
+                    1 => run_both(init, || LogSpace::new(k), true, symmetry),
+                    _ => run_both(init, NoKnowledge::new, false, symmetry),
                 };
-                for (engine, report) in [("serial", &serial), ("parallel", &parallel)] {
-                    assert_eq!(
-                        reference.states, report.states,
-                        "{label} {symmetry:?} algo{algo} {engine}"
-                    );
-                    assert_eq!(
-                        reference.terminals, report.terminals,
-                        "{label} {symmetry:?} algo{algo} {engine}"
-                    );
-                    assert_eq!(
-                        reference.terminal_fingerprints, report.terminal_fingerprints,
-                        "{label} {symmetry:?} algo{algo} {engine}"
-                    );
-                    assert_eq!(
-                        reference.merge_edges, report.merge_edges,
-                        "{label} {symmetry:?} algo{algo} {engine}"
-                    );
-                }
+                assert_eq!(
+                    reference.states, report.states,
+                    "{label} {symmetry:?} algo{algo}"
+                );
+                assert_eq!(
+                    reference.terminals, report.terminals,
+                    "{label} {symmetry:?} algo{algo}"
+                );
+                assert_eq!(
+                    reference.terminal_fingerprints, report.terminal_fingerprints,
+                    "{label} {symmetry:?} algo{algo}"
+                );
+                assert_eq!(
+                    reference.merge_edges, report.merge_edges,
+                    "{label} {symmetry:?} algo{algo}"
+                );
             }
         }
     }
 }
 
-fn run_three<B>(
+fn run_both<B>(
     init: &InitialConfig,
-    make: impl Fn() -> B + Sync,
+    make: impl Fn() -> B,
     halts: bool,
     symmetry: SymmetryMode,
-) -> (ExploreReport, ExploreReport, ExploreReport)
+) -> (ExploreReport, ExploreReport)
 where
-    B: Behavior + Clone + std::hash::Hash + Send + Sync,
-    B::Message: Clone + std::hash::Hash + Send + Sync,
+    B: Behavior + Clone + std::hash::Hash,
+    B::Message: Clone + std::hash::Hash,
 {
     let pred = move |r: &Ring<B>| {
         if halts {
@@ -170,17 +161,11 @@ where
         .symmetry(symmetry)
         .run_serial_reference(&ring, pred)
         .expect("reference");
-    let serial = Explorer::new()
+    let report = Explorer::new()
         .symmetry(symmetry)
-        .run_serial(&ring, pred)
-        .expect("serial");
-    // Force genuine multi-worker execution even on single-core hosts.
-    let parallel = Explorer::new()
-        .symmetry(symmetry)
-        .threads(4)
         .run(&ring, pred)
-        .expect("parallel");
-    (reference, serial, parallel)
+        .expect("in-place DFS");
+    (reference, report)
 }
 
 /// Under `SymmetryMode::Off` the terminal set is keyed by plain
@@ -192,7 +177,6 @@ fn plain_mode_membership_uses_plain_fingerprints() {
     let ring = Ring::new(&init, |_| FullKnowledge::new(3));
     let report = Explorer::new()
         .symmetry(SymmetryMode::Off)
-        .threads(1)
         .run(&ring, |r| satisfies_halting_deployment(r).is_satisfied())
         .expect("explore");
     for seed in 0..25u64 {
@@ -212,24 +196,24 @@ fn plain_mode_membership_uses_plain_fingerprints() {
 fn both_engines_report_limit_errors() {
     let init = InitialConfig::new(10, vec![0, 1, 2]).expect("valid");
     let ring = Ring::new(&init, |_| FullKnowledge::new(3));
-    for threads in [1usize, 4] {
-        let err = Explorer::new()
-            .limits(ExploreLimits::new(10, 100_000))
-            .threads(threads)
-            .run(&ring, |_| true)
-            .expect_err("ten states cannot cover the space");
-        assert!(
-            matches!(err.kind(), ExploreErrorKind::LimitExceeded(_)),
-            "threads {threads}"
-        );
-    }
+    let explorer = Explorer::new().limits(ExploreLimits::new(10, 100_000));
+    let dfs = explorer
+        .run(&ring, |_| true)
+        .expect_err("ten states cannot cover the space");
+    assert!(matches!(dfs.kind(), ExploreErrorKind::LimitExceeded(_)));
+    let reference = explorer
+        .run_serial_reference(&ring, |_| true)
+        .expect_err("ten states cannot cover the space");
+    assert!(matches!(
+        reference.kind(),
+        ExploreErrorKind::LimitExceeded(_)
+    ));
 }
 
-/// The `max_states` budget is race-free across workers: the boundary
-/// between success and `LimitExceeded` sits at exactly the state count
-/// of the space, for the serial DFS and the stealing engine at every
-/// worker count — a budget of N errors iff the space holds more than N
-/// states, never "N plus whatever the workers had in flight".
+/// The `max_states` budget is exact: the boundary between success and
+/// `LimitExceeded` sits at exactly the state count of the space, for the
+/// in-place DFS and the reference alike — a budget of N errors iff the
+/// space holds more than N states.
 #[test]
 fn limit_boundary_is_engine_independent() {
     let init = InitialConfig::new(10, vec![0, 1, 2]).expect("valid");
@@ -237,7 +221,7 @@ fn limit_boundary_is_engine_independent() {
     let pred = |r: &Ring<FullKnowledge>| satisfies_halting_deployment(r).is_satisfied();
     let states = Explorer::new()
         .symmetry(SymmetryMode::Rotation)
-        .run_serial(&ring, pred)
+        .run(&ring, pred)
         .expect("unlimited exploration succeeds")
         .states;
     let at = |max_states: usize| {
@@ -245,55 +229,37 @@ fn limit_boundary_is_engine_independent() {
             .symmetry(SymmetryMode::Rotation)
             .limits(ExploreLimits::new(max_states, 100_000))
     };
-    assert!(
-        at(states).run_serial(&ring, pred).is_ok(),
-        "serial at the exact count"
-    );
-    assert!(
-        matches!(
-            at(states - 1).run_serial(&ring, pred),
-            Err(e) if matches!(e.kind(), ExploreErrorKind::LimitExceeded(_))
-        ),
-        "serial one below the count"
-    );
-    for threads in [1usize, 2, 4] {
-        let exact = at(states).threads(threads).run(&ring, pred);
+    for engine in [ExploreEngine::Serial, ExploreEngine::Reference] {
+        let run = |explorer: Explorer| match engine {
+            ExploreEngine::Serial => explorer.run(&ring, pred).map_err(|e| e.kind()),
+            ExploreEngine::Reference => explorer
+                .run_serial_reference(&ring, pred)
+                .map_err(|e| e.kind()),
+        };
         assert!(
-            exact.is_ok(),
-            "threads {threads}: a budget of exactly {states} states must succeed"
+            run(at(states)).is_ok(),
+            "{engine:?}: a budget of exactly {states} states must succeed"
         );
-        let below = at(states - 1).threads(threads).run(&ring, pred);
         assert!(
-            matches!(
-                below,
-                Err(ref e) if matches!(e.kind(), ExploreErrorKind::LimitExceeded(_))
-            ),
-            "threads {threads}: a budget of {} states must be exceeded",
+            matches!(run(at(states - 1)), Err(ExploreErrorKind::LimitExceeded(_))),
+            "{engine:?}: a budget of {} states must be exceeded",
             states - 1
         );
     }
-}
-
-/// Which engine a differential leg runs.
-#[derive(Clone, Copy)]
-enum Engine {
-    Reference,
-    Serial,
-    Stealing(usize),
 }
 
 /// Runs one engine over one family instance under one link discipline,
 /// type-erasing the error to its kind.
 fn run_engine<B>(
     init: &InitialConfig,
-    make: &(impl Fn() -> B + Sync),
-    pred: &(impl Fn(&Ring<B>) -> bool + Sync),
+    make: &impl Fn() -> B,
+    pred: &impl Fn(&Ring<B>) -> bool,
     discipline: LinkDiscipline,
-    engine: Engine,
+    engine: ExploreEngine,
 ) -> Result<ExploreReport, ExploreErrorKind>
 where
-    B: Behavior + Clone + std::hash::Hash + Send + Sync,
-    B::Message: Clone + std::hash::Hash + Send + Sync,
+    B: Behavior + Clone + std::hash::Hash,
+    B::Message: Clone + std::hash::Hash,
 {
     let mut ring = Ring::new(init, |_| make());
     ring.set_link_discipline(discipline);
@@ -305,82 +271,56 @@ where
                 init.agent_count(),
             ));
     let result = match engine {
-        Engine::Reference => explorer.run_serial_reference(&ring, pred),
-        Engine::Serial => explorer.run_serial(&ring, pred),
-        Engine::Stealing(threads) => explorer.threads(threads).run(&ring, pred),
+        ExploreEngine::Reference => explorer.run_serial_reference(&ring, pred),
+        ExploreEngine::Serial => explorer.run(&ring, pred),
     };
     result.map_err(|e| e.kind())
 }
 
-/// One family × discipline leg: reference, serial and stealing at
-/// workers {1, 2, 4} must agree — on the full deterministic report
-/// quadruple when the exploration succeeds, and on the *fact* of
-/// failure when it does not. The failure kind itself is traversal-
-/// shaped, not part of the contract: a family broken under LIFO
-/// overtaking typically exhibits violations, livelocks and
-/// depth-limit blowups at once, and which one an engine meets first
-/// depends on its spanning tree (the reference's explicit stack, the
-/// serial DFS's on-path check, the stealing engine's post-sweep
-/// certification).
+/// One family × discipline leg: the reference and the in-place DFS must
+/// agree — on the full deterministic report quadruple when the
+/// exploration succeeds, and on the *fact* of failure when it does not.
+/// The failure kind itself is traversal-shaped, not part of the
+/// contract: a family broken under LIFO overtaking typically exhibits
+/// violations, livelocks and depth-limit blowups at once, and which one
+/// an engine meets first depends on its spanning tree (the two engines
+/// expand siblings in opposite order).
 fn assert_family_agrees<B>(
     init: &InitialConfig,
-    make: impl Fn() -> B + Sync,
-    pred: impl Fn(&Ring<B>) -> bool + Sync,
+    make: impl Fn() -> B,
+    pred: impl Fn(&Ring<B>) -> bool,
     discipline: LinkDiscipline,
     label: &str,
 ) where
-    B: Behavior + Clone + std::hash::Hash + Send + Sync,
-    B::Message: Clone + std::hash::Hash + Send + Sync,
+    B: Behavior + Clone + std::hash::Hash,
+    B::Message: Clone + std::hash::Hash,
 {
-    let reference = run_engine(init, &make, &pred, discipline, Engine::Reference);
+    let reference = run_engine(init, &make, &pred, discipline, ExploreEngine::Reference);
     if discipline == LinkDiscipline::Fifo {
         assert!(
             reference.is_ok(),
             "{label}: every family must verify under FIFO (the paper's model): {reference:?}"
         );
     }
-    let serial = run_engine(init, &make, &pred, discipline, Engine::Serial);
-    let legs = [1usize, 2, 4]
-        .map(|threads| run_engine(init, &make, &pred, discipline, Engine::Stealing(threads)));
-    for (name, result) in std::iter::once(("serial", &serial)).chain([
-        ("stealing-1", &legs[0]),
-        ("stealing-2", &legs[1]),
-        ("stealing-4", &legs[2]),
-    ]) {
-        match (&reference, result) {
-            (Ok(want), Ok(got)) => {
-                assert_eq!(want.states, got.states, "{label} {discipline:?} {name}");
-                assert_eq!(
-                    want.terminals, got.terminals,
-                    "{label} {discipline:?} {name}"
-                );
-                assert_eq!(
-                    want.terminal_fingerprints, got.terminal_fingerprints,
-                    "{label} {discipline:?} {name}"
-                );
-                assert_eq!(
-                    want.merge_edges, got.merge_edges,
-                    "{label} {discipline:?} {name}"
-                );
-            }
-            (Err(_), Err(_)) => {}
-            (want, got) => {
-                panic!("{label} {discipline:?} {name}: reference {want:?} but {name} {got:?}")
-            }
+    let serial = run_engine(init, &make, &pred, discipline, ExploreEngine::Serial);
+    match (&reference, &serial) {
+        (Ok(want), Ok(got)) => {
+            assert_eq!(want.states, got.states, "{label} {discipline:?}");
+            assert_eq!(want.terminals, got.terminals, "{label} {discipline:?}");
+            assert_eq!(
+                want.terminal_fingerprints, got.terminal_fingerprints,
+                "{label} {discipline:?}"
+            );
+            assert_eq!(want.merge_edges, got.merge_edges, "{label} {discipline:?}");
         }
-    }
-    // The single-worker stealing engine never donates, so it is the
-    // serial DFS in a different harness: `max_depth_seen` must match
-    // too (multi-worker depth is legitimately schedule-shaped).
-    if let (Ok(serial), Ok(stealing1)) = (&serial, &legs[0]) {
-        assert_eq!(
-            serial.max_depth_seen, stealing1.max_depth_seen,
-            "{label} {discipline:?}: stealing-1 is exactly the serial DFS"
-        );
+        (Err(_), Err(_)) => {}
+        (want, got) => {
+            panic!("{label} {discipline:?}: reference {want:?} but in-place DFS {got:?}")
+        }
     }
 }
 
-/// All five families × FIFO/LIFO × engines × worker counts.
+/// All five families × FIFO/LIFO × both engines.
 #[test]
 fn five_families_agree_across_engines_and_disciplines() {
     for discipline in [LinkDiscipline::Fifo, LinkDiscipline::Lifo] {
@@ -424,53 +364,5 @@ fn five_families_agree_across_engines_and_disciplines() {
             discipline,
             "partial-gathering g=3",
         );
-    }
-}
-
-/// A random small instance: distinct homes on a ring of 6..=9 nodes.
-fn random_instance(seed: u64) -> InitialConfig {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let n: usize = rng.gen_range(6..=9);
-    let k = rng.gen_range(2..=3usize);
-    let mut homes: Vec<usize> = (0..n).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..n);
-        homes.swap(i, j);
-    }
-    homes.truncate(k);
-    InitialConfig::new(n, homes).expect("distinct homes in range")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Stealing order is scheduling noise: whatever subtrees get donated
-    /// and whoever wins each visited-insert race, the report quadruple
-    /// is a function of the instance alone.
-    #[test]
-    fn stealing_order_never_changes_the_report(seed in 0u64..1_000_000) {
-        let init = random_instance(seed);
-        let k = init.agent_count();
-        let ring = Ring::new(&init, |_| FullKnowledge::new(k));
-        let pred = |r: &Ring<FullKnowledge>| satisfies_halting_deployment(r).is_satisfied();
-        let baseline = Explorer::new()
-            .symmetry(SymmetryMode::Rotation)
-            .run_serial(&ring, pred)
-            .expect("serial exploration succeeds");
-        for threads in [2usize, 3, 4] {
-            let stolen = Explorer::new()
-                .symmetry(SymmetryMode::Rotation)
-                .threads(threads)
-                .run(&ring, pred)
-                .expect("stealing exploration succeeds");
-            prop_assert_eq!(baseline.states, stolen.states, "seed {} threads {}", seed, threads);
-            prop_assert_eq!(baseline.terminals, stolen.terminals, "seed {} threads {}", seed, threads);
-            prop_assert_eq!(
-                &baseline.terminal_fingerprints,
-                &stolen.terminal_fingerprints,
-                "seed {} threads {}", seed, threads
-            );
-            prop_assert_eq!(baseline.merge_edges, stolen.merge_edges, "seed {} threads {}", seed, threads);
-        }
     }
 }

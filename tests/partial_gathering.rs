@@ -56,8 +56,7 @@ fn exhaustive_terminal_set_covers_every_sampled_run() {
         let k = init.agent_count();
         let explorer = Explorer::new()
             .limits(ExploreLimits::for_instance(n, k))
-            .symmetry(SymmetryMode::Rotation)
-            .threads(1);
+            .symmetry(SymmetryMode::Rotation);
         let explored = explore_one(family, &init, &explorer)
             .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: explore failed: {e}"));
         assert!(explored.terminals >= 1);

@@ -151,6 +151,42 @@ fn stdio_mode_serves_one_client_and_exits_on_eof() {
     assert_eq!(types.last().map(String::as_str), Some("bye"));
 }
 
+/// A hostile frame — a megabyte of `[` — is answered with one typed
+/// `error` frame instead of overflowing the parser's stack; the daemon
+/// then serves the next request and drains to a clean exit on EOF.
+#[test]
+fn stdio_mode_survives_a_deeply_nested_frame() {
+    let mut daemon = binary()
+        .args(["--serve", "stdio", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn stdio daemon");
+    {
+        let stdin = daemon.stdin.as_mut().expect("daemon stdin");
+        writeln!(stdin, "{}", "[".repeat(1_000_000)).expect("write hostile frame");
+        writeln!(stdin, r#"{{"type":"stats"}}"#).expect("write stats request");
+    }
+    daemon.stdin.take(); // close stdin: EOF = shutdown
+
+    let output = daemon.wait_with_output().expect("daemon exit");
+    assert!(
+        output.status.success(),
+        "daemon must exit 0: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let types: Vec<String> = String::from_utf8(output.stdout)
+        .expect("utf8 frames")
+        .lines()
+        .map(|l| frame_type(&Json::parse(l).unwrap_or_else(|e| panic!("bad frame {l:?}: {e}"))))
+        .collect();
+    let count = |kind: &str| types.iter().filter(|t| *t == kind).count();
+    assert_eq!(count("error"), 1, "{types:?}");
+    assert_eq!(count("stats"), 1, "{types:?}");
+    assert_eq!(types.last().map(String::as_str), Some("bye"));
+}
+
 /// Helper: read a sub-object (Json has typed `field` but frames nest).
 trait FieldJson {
     fn field_json(&self, name: &str) -> &Json;
