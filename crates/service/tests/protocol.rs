@@ -428,3 +428,113 @@ fn gathering_family_round_trips_through_the_wire_encoding() {
     assert_eq!(decoded, original);
     assert_eq!(decoded.fingerprint(), original.fingerprint());
 }
+
+/// 64-bit FNV-1a with the reference offset basis and prime.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins `JobSpec::keys` byte for byte for every kind: a 2 × 2 × 2 × 2
+/// spec (algorithms × workloads × schedules-or-objectives × seeds),
+/// expanded with its default axes (empty schedules, objectives and
+/// seeds) and with explicit ones, each fault-free and under a crash +
+/// edge-outage plan. Each expansion pins its key count, its first and
+/// last label, and an FNV-1a digest of the newline-joined canonical
+/// encodings — so the row order and every cache identity are fixed.
+#[test]
+fn job_spec_keys_are_pinned_for_every_kind() {
+    let plan = FaultPlan::none()
+        .with_crash(AgentId(2), 3)
+        .with_edge_outages(1);
+    let explicit = JobSpec {
+        algorithms: vec![Algorithm::FullKnowledge, Algorithm::partial_gathering(2)],
+        objectives: vec![Objective::TotalMoves, Objective::PeakMemoryBits],
+        tier: EvidenceTier::Exhaustive,
+        ..spec()
+    };
+    let defaults = JobSpec {
+        schedules: Vec::new(),
+        objectives: Vec::new(),
+        seeds: Vec::new(),
+        ..explicit.clone()
+    };
+    let mut got = String::new();
+    for kind in JobKind::ALL {
+        for (axes, base) in [("default", &defaults), ("explicit", &explicit)] {
+            for faulted in [false, true] {
+                let mut job = JobSpec {
+                    kind,
+                    ..base.clone()
+                };
+                if faulted {
+                    job = job.faults(plan.clone());
+                }
+                let keys = job.keys().expect("expansion");
+                let canonical: Vec<String> = keys.iter().map(InstanceKey::canonical).collect();
+                got.push_str(&format!(
+                    "{kind} {axes} {}: {} keys, digest {:016x}\n  first {}\n  last  {}\n",
+                    if faulted { "faulted" } else { "fault-free" },
+                    keys.len(),
+                    fnv1a64(canonical.join("\n").as_bytes()),
+                    keys[0].label(),
+                    keys[keys.len() - 1].label(),
+                ));
+            }
+        }
+    }
+    assert_eq!(got, PINNED_JOB_KEYS);
+}
+
+/// Expected output of `job_spec_keys_are_pinned_for_every_kind`.
+const PINNED_JOB_KEYS: &str = "\
+sweep default fault-free: 4 keys, digest 3affd2f01f87beb9
+  first sweep:algo1-full-knowledge:random(n=16,k=4):seed0:random(0)
+  last  sweep:partial-gathering-g2:periodic(n=12,k=4,l=2):seed0:random(0)
+sweep default faulted: 4 keys, digest 9cf16e5f0e4cc75d
+  first sweep:algo1-full-knowledge:random(n=16,k=4):seed0:random(0):faults[crash=2@3,dynamic-edge:1]
+  last  sweep:partial-gathering-g2:periodic(n=12,k=4,l=2):seed0:random(0):faults[crash=2@3,dynamic-edge:1]
+sweep explicit fault-free: 16 keys, digest ab7a924e54a3ed9d
+  first sweep:algo1-full-knowledge:random(n=16,k=4):seed0:random(9)
+  last  sweep:partial-gathering-g2:periodic(n=12,k=4,l=2):seed7:random(7)
+sweep explicit faulted: 16 keys, digest d6d0e0ef498c36fd
+  first sweep:algo1-full-knowledge:random(n=16,k=4):seed0:random(9):faults[crash=2@3,dynamic-edge:1]
+  last  sweep:partial-gathering-g2:periodic(n=12,k=4,l=2):seed7:random(7):faults[crash=2@3,dynamic-edge:1]
+explore default fault-free: 4 keys, digest e997d4c2259fc835
+  first explore:algo1-full-knowledge:random(n=16,k=4):seed0
+  last  explore:partial-gathering-g2:periodic(n=12,k=4,l=2):seed0
+explore default faulted: 4 keys, digest 0dd5e79afae04389
+  first explore:algo1-full-knowledge:random(n=16,k=4):seed0:faults[crash=2@3,dynamic-edge:1]
+  last  explore:partial-gathering-g2:periodic(n=12,k=4,l=2):seed0:faults[crash=2@3,dynamic-edge:1]
+explore explicit fault-free: 8 keys, digest 6920e222f5c9d9f9
+  first explore:algo1-full-knowledge:random(n=16,k=4):seed0
+  last  explore:partial-gathering-g2:periodic(n=12,k=4,l=2):seed7
+explore explicit faulted: 8 keys, digest 5bac5eb3b078f7e9
+  first explore:algo1-full-knowledge:random(n=16,k=4):seed0:faults[crash=2@3,dynamic-edge:1]
+  last  explore:partial-gathering-g2:periodic(n=12,k=4,l=2):seed7:faults[crash=2@3,dynamic-edge:1]
+adversary default fault-free: 12 keys, digest 8ba02a1a77d0db89
+  first adversary:algo1-full-knowledge:random(n=16,k=4):seed0:total-moves
+  last  adversary:partial-gathering-g2:periodic(n=12,k=4,l=2):seed0:peak-memory-bits
+adversary default faulted: 12 keys, digest fc1f1a6a27fc6a45
+  first adversary:algo1-full-knowledge:random(n=16,k=4):seed0:total-moves:faults[crash=2@3,dynamic-edge:1]
+  last  adversary:partial-gathering-g2:periodic(n=12,k=4,l=2):seed0:peak-memory-bits:faults[crash=2@3,dynamic-edge:1]
+adversary explicit fault-free: 16 keys, digest 09d077ece720898d
+  first adversary:algo1-full-knowledge:random(n=16,k=4):seed0:total-moves
+  last  adversary:partial-gathering-g2:periodic(n=12,k=4,l=2):seed7:peak-memory-bits
+adversary explicit faulted: 16 keys, digest 044e6ec328a5c2ad
+  first adversary:algo1-full-knowledge:random(n=16,k=4):seed0:total-moves:faults[crash=2@3,dynamic-edge:1]
+  last  adversary:partial-gathering-g2:periodic(n=12,k=4,l=2):seed7:peak-memory-bits:faults[crash=2@3,dynamic-edge:1]
+certify default fault-free: 12 keys, digest 225bd5d0121abc51
+  first certify:algo1-full-knowledge:random(n=16,k=4):seed0:total-moves:exhaustive
+  last  certify:partial-gathering-g2:periodic(n=12,k=4,l=2):seed0:peak-memory-bits:exhaustive
+certify default faulted: 12 keys, digest 95bf6a103f731e35
+  first certify:algo1-full-knowledge:random(n=16,k=4):seed0:total-moves:exhaustive:faults[crash=2@3,dynamic-edge:1]
+  last  certify:partial-gathering-g2:periodic(n=12,k=4,l=2):seed0:peak-memory-bits:exhaustive:faults[crash=2@3,dynamic-edge:1]
+certify explicit fault-free: 16 keys, digest efc5a07d9acc69e5
+  first certify:algo1-full-knowledge:random(n=16,k=4):seed0:total-moves:exhaustive
+  last  certify:partial-gathering-g2:periodic(n=12,k=4,l=2):seed7:peak-memory-bits:exhaustive
+certify explicit faulted: 16 keys, digest 521f2a2995278d75
+  first certify:algo1-full-knowledge:random(n=16,k=4):seed0:total-moves:exhaustive:faults[crash=2@3,dynamic-edge:1]
+  last  certify:partial-gathering-g2:periodic(n=12,k=4,l=2):seed7:peak-memory-bits:exhaustive:faults[crash=2@3,dynamic-edge:1]
+";
