@@ -70,9 +70,10 @@ use ringdeploy_core::{Algorithm, DeployError, Deployment, Schedule};
 use ringdeploy_sim::adversary::{Adversary, AdversaryError, Objective, WorstCase};
 use ringdeploy_sim::explore::{ExploreLimits, SymmetryMode};
 use ringdeploy_sim::scheduler::Activation;
-use ringdeploy_sim::{DeploymentCheck, FaultPlan, InitialConfig};
+use ringdeploy_sim::{DeploymentCheck, InitialConfig};
 
-use crate::sweep::Workload;
+use crate::grid::{Batch, CellJob};
+use crate::key::{InstanceKey, JobKind};
 
 pub use ringdeploy_core::PaperBound;
 
@@ -163,11 +164,12 @@ impl From<&WorstCase> for SearchStats {
 }
 
 /// The graceful-degradation verdict of a certificate on a **faulted**
-/// instance (non-empty [`FaultPlan`]): does the family still meet its
-/// definition and bound, halt in the typed crash-degraded state, or
-/// fail to reach quiescence at all? Computed from a deterministic
-/// round-robin probe run of the faulted instance, alongside the
-/// worst-case search. Fault-free certificates carry no verdict.
+/// instance (non-empty [`FaultPlan`](ringdeploy_sim::FaultPlan)): does
+/// the family still meet its definition and bound, halt in the typed
+/// crash-degraded state, or fail to reach quiescence at all? Computed
+/// from a deterministic round-robin probe run of the faulted instance,
+/// alongside the worst-case search. Fault-free certificates carry no
+/// verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DegradationVerdict {
     /// The faulted instance still satisfies its full definition and the
@@ -223,9 +225,9 @@ pub struct BoundCertificate {
     /// Branch-and-bound diagnostics — search tiers only.
     pub search: Option<SearchStats>,
     /// Graceful-degradation verdict — instances with a non-empty
-    /// [`FaultPlan`] only. `None` (and omitted from JSON, keeping
-    /// fault-free certificates byte-identical to the pre-fault
-    /// encoding) otherwise.
+    /// [`FaultPlan`](ringdeploy_sim::FaultPlan) only. `None` (and
+    /// omitted from JSON, keeping fault-free certificates byte-identical
+    /// to the pre-fault encoding) otherwise.
     pub degradation: Option<DegradationVerdict>,
     /// Fingerprint of the canonical instance key this certificate
     /// answers ([`InstanceKey::fingerprint`](crate::InstanceKey)),
@@ -448,87 +450,39 @@ fn degradation_verdict(
     )
 }
 
-/// Coordinates of one cell in a certification batch's cross product.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertifyCell {
-    /// Position in the deterministic enumeration order (row order).
-    pub index: usize,
-    /// Algorithm of the cell.
-    pub algorithm: Algorithm,
-    /// Workload family of the cell.
-    pub workload: Workload,
-    /// The certified objective.
-    pub objective: Objective,
-    /// Seed used for workload instantiation.
-    pub seed: u64,
-}
-
-impl CertifyCell {
-    /// A human-readable cell label for reports and errors.
-    pub fn label(&self) -> String {
-        format!(
-            "{} × {} × {} × seed {}",
-            self.algorithm,
-            self.workload.label(),
-            self.objective,
-            self.seed
-        )
-    }
-}
-
-/// One streamed result row: the cell coordinates plus its certificate.
+/// One streamed result row: the cell's key plus its certificate.
 #[derive(Debug, Clone)]
 pub struct CertifyRow {
     /// Which cell produced this row.
-    pub cell: CertifyCell,
+    pub cell: InstanceKey,
     /// The bound certificate. A row with `!certificate.holds()` is
     /// delivered, not turned into an error — a violated bound is the
     /// batch's most important output.
     pub certificate: BoundCertificate,
 }
 
-/// Error aborting a certification batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CertifyBatchError {
-    /// A dimension of the cross product is empty.
-    EmptyDimension {
-        /// Which builder list was empty.
-        dimension: &'static str,
-    },
-    /// A cell failed; carries the cell label for diagnosis.
-    Cell {
-        /// Enumeration index of the failing cell.
-        index: usize,
-        /// [`CertifyCell::label`] of the failing cell.
-        label: String,
-        /// The underlying certification failure.
-        error: CertifyErrorKind,
-    },
-}
+/// The per-cell job of a [`Certify`] batch: [`certify_one`] at the
+/// cell's objective and tier.
+impl CellJob for CertifySettings {
+    const KIND: JobKind = JobKind::Certify;
+    type Row = CertifyRow;
+    type Error = CertifyErrorKind;
 
-impl std::fmt::Display for CertifyBatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CertifyBatchError::EmptyDimension { dimension } => {
-                write!(f, "certification batch has an empty {dimension} list")
-            }
-            CertifyBatchError::Cell {
-                index,
-                label,
-                error,
-            } => write!(f, "certification cell #{index} ({label}) failed: {error}"),
-        }
+    fn row(&self, key: &InstanceKey, init: &InitialConfig) -> Result<CertifyRow, CertifyErrorKind> {
+        let objective = key.objective.expect("certify keys carry an objective");
+        let tier = key.tier.expect("certify keys carry a tier");
+        Ok(CertifyRow {
+            cell: key.clone(),
+            certificate: certify_one(key.algorithm, init, objective, tier, self)?,
+        })
     }
 }
 
-impl std::error::Error for CertifyBatchError {}
-
 /// A batch of bound certifications over the cross product
-/// algorithms × workloads × objectives × seeds, mirroring
-/// [`Sweep`](crate::Sweep) and [`Explore`](crate::Explore): deterministic
-/// cell enumeration (algorithms outermost, seeds innermost), streamed
-/// rows in cell order. Like [`Explore`], cells run sequentially — the
-/// branch-and-bound already keeps a core busy and batches are small.
+/// algorithms × workloads × objectives × seeds. Like
+/// [`Explore`](crate::Explore), cells run sequentially: each
+/// branch-and-bound search already keeps a core busy and holds its own
+/// memo.
 ///
 /// # Example
 ///
@@ -545,203 +499,41 @@ impl std::error::Error for CertifyBatchError {}
 /// for row in &rows {
 ///     assert!(row.certificate.holds(), "{}", row.cell.label());
 /// }
-/// # Ok::<(), ringdeploy_analysis::CertifyBatchError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct Certify {
-    algorithms: Vec<Algorithm>,
-    workloads: Vec<(Workload, Option<u64>)>,
-    objectives: Vec<Objective>,
-    seeds: Vec<u64>,
-    tier: EvidenceTier,
-    settings: CertifySettings,
-    faults: FaultPlan,
-}
-
-impl Default for Certify {
-    fn default() -> Self {
-        Certify::new()
-    }
-}
+pub type Certify = Batch<CertifySettings>;
 
 impl Certify {
-    /// An empty batch: add at least one algorithm and one workload before
-    /// running (objectives default to all three, seeds to the single
-    /// seed 0, tier to [`EvidenceTier::Adversarial`]).
-    pub fn new() -> Self {
-        Certify {
-            algorithms: Vec::new(),
-            workloads: Vec::new(),
-            objectives: Objective::ALL.to_vec(),
-            seeds: vec![0],
-            tier: EvidenceTier::Adversarial,
-            settings: CertifySettings::default(),
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// Adds one algorithm.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithms.push(algorithm);
-        self
-    }
-
-    /// Adds several algorithms.
-    pub fn algorithms(mut self, algorithms: impl IntoIterator<Item = Algorithm>) -> Self {
-        self.algorithms.extend(algorithms);
-        self
-    }
-
-    /// Adds one workload family.
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workloads.push((workload, None));
-        self
-    }
-
-    /// Adds several workload families.
-    pub fn workloads(mut self, workloads: impl IntoIterator<Item = Workload>) -> Self {
-        self.workloads
-            .extend(workloads.into_iter().map(|w| (w, None)));
-        self
-    }
-
-    /// Adds a workload with a **fixed** seed overriding the batch's seed
-    /// list for this workload (same convention as
-    /// [`Sweep::seeded_workload`](crate::Sweep::seeded_workload)).
-    pub fn seeded_workload(mut self, workload: Workload, seed: u64) -> Self {
-        self.workloads.push((workload, Some(seed)));
-        self
-    }
-
     /// Replaces the objective list (default: all three).
     pub fn objectives(mut self, objectives: impl IntoIterator<Item = Objective>) -> Self {
-        self.objectives = objectives.into_iter().collect();
+        self.grid.objectives = objectives.into_iter().collect();
         self
     }
 
     /// Restricts to one objective.
     pub fn objective(mut self, objective: Objective) -> Self {
-        self.objectives = vec![objective];
-        self
-    }
-
-    /// Replaces the seed list (default: the single seed 0).
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
+        self.grid.objectives = vec![objective];
         self
     }
 
     /// Selects the evidence tier of every cell (default:
     /// [`EvidenceTier::Adversarial`]).
     pub fn tier(mut self, tier: EvidenceTier) -> Self {
-        self.tier = tier;
+        self.grid.tier = tier;
         self
     }
 
     /// Number of random seeds the sweep tier samples (default 64).
     pub fn sweep_seeds(mut self, seeds: u64) -> Self {
-        self.settings.sweep_seeds = seeds;
+        self.job.sweep_seeds = seeds;
         self
     }
 
     /// Overrides the search limits of every cell (default:
     /// [`ExploreLimits::for_instance`] scaled per cell).
     pub fn limits(mut self, limits: ExploreLimits) -> Self {
-        self.settings.limits = Some(limits);
+        self.job.limits = Some(limits);
         self
-    }
-
-    /// Injects a deterministic fault plan into every cell's instance
-    /// (default: fault-free). Faulted cells certify through the
-    /// graceful-degradation tier: their certificates carry a
-    /// [`DegradationVerdict`].
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Enumerates the cells in deterministic order (algorithms outermost,
-    /// then workloads, then objectives, seeds innermost).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CertifyBatchError::EmptyDimension`] when a dimension is
-    /// empty.
-    pub fn cells(&self) -> Result<Vec<CertifyCell>, CertifyBatchError> {
-        for (dimension, empty) in [
-            ("algorithm", self.algorithms.is_empty()),
-            ("workload", self.workloads.is_empty()),
-            ("objective", self.objectives.is_empty()),
-            ("seed", self.seeds.is_empty()),
-        ] {
-            if empty {
-                return Err(CertifyBatchError::EmptyDimension { dimension });
-            }
-        }
-        let mut cells = Vec::new();
-        for &algorithm in &self.algorithms {
-            for &(workload, fixed_seed) in &self.workloads {
-                for &objective in &self.objectives {
-                    let seeds: &[u64] = match &fixed_seed {
-                        Some(seed) => std::slice::from_ref(seed),
-                        None => &self.seeds,
-                    };
-                    for &seed in seeds {
-                        cells.push(CertifyCell {
-                            index: cells.len(),
-                            algorithm,
-                            workload,
-                            objective,
-                            seed,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(cells)
-    }
-
-    /// Runs every cell and collects the rows in cell order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing cell's error; rows after a failure are
-    /// not produced. A *violated bound* is not a failure — it is
-    /// reported in the row (`!certificate.holds()`).
-    pub fn run(&self) -> Result<Vec<CertifyRow>, CertifyBatchError> {
-        let mut rows = Vec::new();
-        self.stream(|row| rows.push(row))?;
-        Ok(rows)
-    }
-
-    /// Runs every cell, invoking `on_row` as each certificate completes
-    /// (cells run in order, so rows stream in order).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Certify::run`]; `on_row` is never called at or after the
-    /// failing cell.
-    pub fn stream(&self, mut on_row: impl FnMut(CertifyRow)) -> Result<(), CertifyBatchError> {
-        for cell in self.cells()? {
-            let init = cell
-                .workload
-                .instantiate(cell.seed)
-                .with_faults(self.faults.clone());
-            let certificate = certify_one(
-                cell.algorithm,
-                &init,
-                cell.objective,
-                self.tier,
-                &self.settings,
-            )
-            .map_err(|error| CertifyBatchError::Cell {
-                index: cell.index,
-                label: cell.label(),
-                error,
-            })?;
-            on_row(CertifyRow { cell, certificate });
-        }
-        Ok(())
     }
 }
 
@@ -1000,41 +792,6 @@ mod tests {
         .expect("certification succeeds");
         assert!(mem.oracle_moves.is_none());
         assert!(mem.competitive_ratio.is_none());
-    }
-
-    #[test]
-    fn batch_cross_product_is_complete_and_ordered() {
-        let batch = Certify::new()
-            .algorithms(Algorithm::ALL)
-            .workload(Workload::Uniform { n: 8, k: 4 })
-            .workload(Workload::QuarterRing { n: 8, k: 2 });
-        let cells = batch.cells().unwrap();
-        assert_eq!(cells.len(), 3 * 2 * 3);
-        for (i, cell) in cells.iter().enumerate() {
-            assert_eq!(cell.index, i);
-        }
-        assert_eq!(cells[0].objective, Objective::TotalMoves);
-        let err = Certify::new().cells().unwrap_err();
-        assert_eq!(
-            err,
-            CertifyBatchError::EmptyDimension {
-                dimension: "algorithm"
-            }
-        );
-    }
-
-    #[test]
-    fn batch_rows_stream_in_cell_order_and_certify() {
-        let mut indices = Vec::new();
-        Certify::new()
-            .algorithm(Algorithm::FullKnowledge)
-            .workload(Workload::Uniform { n: 8, k: 4 })
-            .stream(|row| {
-                assert!(row.certificate.holds(), "{}", row.cell.label());
-                indices.push(row.cell.index);
-            })
-            .unwrap();
-        assert_eq!(indices, vec![0, 1, 2]);
     }
 
     #[test]

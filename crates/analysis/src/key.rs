@@ -34,11 +34,10 @@
 
 use ringdeploy_core::{Algorithm, Schedule};
 use ringdeploy_sim::adversary::Objective;
-use ringdeploy_sim::FaultPlan;
+use ringdeploy_sim::{FaultPlan, InitialConfig};
 
-use crate::certify::{CertifyCell, EvidenceTier};
-use crate::explore::ExploreCell;
-use crate::sweep::{SweepCell, Workload};
+use crate::certify::EvidenceTier;
+use crate::sweep::Workload;
 
 /// Which engine of the verification stack a query runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,62 +111,6 @@ pub struct InstanceKey {
 }
 
 impl InstanceKey {
-    /// The key of a sweep cell.
-    pub fn for_sweep(cell: &SweepCell) -> InstanceKey {
-        InstanceKey {
-            kind: JobKind::Sweep,
-            algorithm: cell.algorithm,
-            workload: cell.workload,
-            schedule: Some(cell.schedule),
-            seed: cell.seed,
-            objective: None,
-            tier: None,
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// The key of an exhaustive-exploration cell.
-    pub fn for_explore(cell: &ExploreCell) -> InstanceKey {
-        InstanceKey {
-            kind: JobKind::Explore,
-            algorithm: cell.algorithm,
-            workload: cell.workload,
-            schedule: None,
-            seed: cell.seed,
-            objective: None,
-            tier: None,
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// The key of a worst-case-search cell.
-    pub fn for_adversary(cell: &CertifyCell) -> InstanceKey {
-        InstanceKey {
-            kind: JobKind::Adversary,
-            algorithm: cell.algorithm,
-            workload: cell.workload,
-            schedule: None,
-            seed: cell.seed,
-            objective: Some(cell.objective),
-            tier: None,
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// The key of a certification cell at `tier`.
-    pub fn for_certify(cell: &CertifyCell, tier: EvidenceTier) -> InstanceKey {
-        InstanceKey {
-            kind: JobKind::Certify,
-            algorithm: cell.algorithm,
-            workload: cell.workload,
-            schedule: None,
-            seed: cell.seed,
-            objective: Some(cell.objective),
-            tier: Some(tier),
-            faults: FaultPlan::none(),
-        }
-    }
-
     /// Returns the key with `faults` as its fault plan. Non-empty plans
     /// join the canonical encoding (a faulted query is a *different*
     /// cacheable instance); an empty plan leaves the key — and its
@@ -176,6 +119,18 @@ impl InstanceKey {
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
+    }
+
+    /// The key's initial configuration: its workload instantiated at its
+    /// seed, carrying its fault plan.
+    ///
+    /// # Panics
+    ///
+    /// As [`Workload::instantiate`], on invalid workload parameters.
+    pub fn instantiate(&self) -> InitialConfig {
+        self.workload
+            .instantiate(self.seed)
+            .with_faults(self.faults.clone())
     }
 
     /// A human-readable label for logs and error messages.
@@ -322,14 +277,16 @@ mod tests {
 
     #[test]
     fn labels_carry_every_coordinate() {
-        let cell = CertifyCell {
-            index: 0,
+        let key = InstanceKey {
+            kind: JobKind::Certify,
             algorithm: Algorithm::Relaxed,
             workload: Workload::Periodic { n: 12, k: 4, l: 2 },
-            objective: Objective::TotalMoves,
+            schedule: None,
             seed: 3,
+            objective: Some(Objective::TotalMoves),
+            tier: Some(EvidenceTier::Adversarial),
+            ..sample_key()
         };
-        let key = InstanceKey::for_certify(&cell, EvidenceTier::Adversarial);
         let label = key.label();
         for needle in [
             "certify",
@@ -374,18 +331,21 @@ mod tests {
 
         #[test]
         fn keys_round_trip_through_json() {
-            let cell = CertifyCell {
-                index: 0,
+            let adversary = InstanceKey {
+                kind: JobKind::Adversary,
                 algorithm: Algorithm::LogSpace,
                 workload: Workload::QuarterRing { n: 16, k: 4 },
-                objective: Objective::PeakMemoryBits,
+                schedule: None,
                 seed: 11,
+                objective: Some(Objective::PeakMemoryBits),
+                ..sample_key()
             };
-            for key in [
-                sample_key(),
-                InstanceKey::for_adversary(&cell),
-                InstanceKey::for_certify(&cell, EvidenceTier::Sweep),
-            ] {
+            let certify = InstanceKey {
+                kind: JobKind::Certify,
+                tier: Some(EvidenceTier::Sweep),
+                ..adversary.clone()
+            };
+            for key in [sample_key(), adversary, certify] {
                 let text = key.to_json().to_string();
                 let back = InstanceKey::from_json(&Json::parse(&text).unwrap()).unwrap();
                 assert_eq!(back, key);

@@ -7,13 +7,16 @@
 //!   periodic with prescribed symmetry degree `l` (§4.2.2 / Fig. 11),
 //!   already-uniform, explicit gap lists, and the Theorem 5 replication
 //!   construction (Fig. 7).
+//! * [`Grid`] / [`Batch`]: the one cross product algorithms × workloads
+//!   × schedules-or-objectives × seeds, enumerated as [`InstanceKey`]s,
+//!   and the in-order streaming executor the three batches below share.
 //! * [`Sweep`] / [`Measurement`]: batched (parallel) runs → the paper's three
 //!   measures (peak agent memory in bits, ideal time in rounds, total
 //!   moves) plus the Definition 1/2 verdict.
-//! * [`Explore`]: the exhaustive-verification counterpart of `Sweep` —
-//!   each cell runs the symmetry-reduced bounded model checker over
-//!   *every* schedule of its instance instead of sampling one.
-//! * [`Certify`]: the bound-certification counterpart — each cell finds
+//! * [`Explore`]: the exhaustive-verification batch — each cell runs the
+//!   symmetry-reduced bounded model checker over *every* schedule of its
+//!   instance instead of sampling one.
+//! * [`Certify`]: the bound-certification batch — each cell finds
 //!   the exact adversarial worst case of a paper measure
 //!   (branch-and-bound over the reversible engine) and evaluates the
 //!   recorded paper bound against it, with a replayable witness
@@ -49,25 +52,25 @@ pub mod certify;
 mod experiment;
 pub mod explore;
 pub mod generators;
+pub mod grid;
 pub mod key;
 mod stats;
 pub mod sweep;
 mod table;
 
 pub use certify::{
-    certify_one, paper_bound, worst_case_one, BoundCertificate, Certify, CertifyBatchError,
-    CertifyCell, CertifyErrorKind, CertifyRow, CertifySettings, DegradationVerdict, EvidenceTier,
-    PaperBound, SearchStats,
+    certify_one, paper_bound, worst_case_one, BoundCertificate, Certify, CertifyErrorKind,
+    CertifyRow, CertifySettings, DegradationVerdict, EvidenceTier, PaperBound, SearchStats,
 };
 pub use experiment::{Cell, Measurement};
 pub use explore::{
-    explore_one, explore_one_reference, explore_one_serial, Explore, ExploreBatchError,
-    ExploreCell, ExploreRow,
+    explore_one, explore_one_reference, explore_one_serial, Explore, ExploreJob, ExploreRow,
 };
 pub use generators::{
     clustered_config, from_gaps, periodic_config, quarter_ring_config, random_aperiodic_config,
     random_config, theorem5_config, uniform_config,
 };
+pub use grid::{Batch, BatchError, CellJob, Grid};
 pub use key::{InstanceKey, JobKind};
 // The paper-bound shapes and the offline oracle moved into
 // `ringdeploy-core` alongside the `ProblemFamily` trait that consumes
@@ -83,7 +86,7 @@ pub use ringdeploy_core::{
 pub use ringdeploy_sim::adversary::{Adversary, AdversaryError, Objective, WorstCase};
 pub use stats::{LinearFit, Summary};
 pub use sweep::{
-    measure_one, measure_with_ideal_time, summarize, MeasureError, Sweep, SweepCell, SweepError,
-    SweepRow, SweepSchedule, Workload,
+    measure_one, measure_with_ideal_time, summarize, MeasureError, Sweep, SweepJob, SweepRow,
+    SweepSchedule, Workload,
 };
 pub use table::{fmt_f64, TextTable};

@@ -1,6 +1,7 @@
-//! The [`Sweep`] batch API: cross-products algorithms × workloads ×
-//! schedules × seeds, executes the cells in parallel on OS threads and
-//! streams [`Measurement`] rows in deterministic cell order.
+//! The [`Sweep`] batch: the [`Batch`] whose cells are sampled runs over
+//! algorithms × workloads × schedules × seeds, executed in parallel on OS
+//! threads and streamed as [`Measurement`] rows in deterministic row
+//! order.
 //!
 //! `Sweep` subsumes the old `measure` / `measure_with_time` / `aggregate`
 //! trio: one-off runs are a 1×1×1×1 sweep, ideal-time measurement is the
@@ -24,23 +25,21 @@
 //!     .run()?;
 //! assert_eq!(rows.len(), 2 * 1 * 2 * 3);
 //! assert!(rows.iter().all(|row| row.measurement.success));
-//! # Ok::<(), ringdeploy_analysis::SweepError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ringdeploy_core::{Algorithm, DeployError, Deployment, Schedule};
-use ringdeploy_sim::{FaultPlan, InitialConfig, RunLimits};
+use ringdeploy_sim::{InitialConfig, RunLimits};
 
 use crate::experiment::{Cell, Measurement};
 use crate::generators::{
     clustered_config, periodic_config, quarter_ring_config, random_aperiodic_config, random_config,
     uniform_config,
 };
+use crate::grid::{Batch, CellJob};
+use crate::key::{InstanceKey, JobKind};
 use crate::stats::Summary;
 
 /// A named initial-configuration family, instantiable per seed.
@@ -181,7 +180,7 @@ pub enum SweepSchedule {
 }
 
 impl SweepSchedule {
-    fn resolve(self, seed: u64) -> Schedule {
+    pub(crate) fn resolve(self, seed: u64) -> Schedule {
         match self {
             SweepSchedule::Preset(preset) => preset,
             SweepSchedule::RandomPerSeed => Schedule::Random(seed),
@@ -189,39 +188,11 @@ impl SweepSchedule {
     }
 }
 
-/// Coordinates of one cell in a sweep's cross product.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepCell {
-    /// Position in the deterministic enumeration order (row order).
-    pub index: usize,
-    /// Algorithm of the cell.
-    pub algorithm: Algorithm,
-    /// Workload family of the cell.
-    pub workload: Workload,
-    /// Resolved schedule of the cell.
-    pub schedule: Schedule,
-    /// Seed used for workload instantiation (and the per-seed schedule).
-    pub seed: u64,
-}
-
-impl SweepCell {
-    /// A human-readable cell label for reports and errors.
-    pub fn label(&self) -> String {
-        format!(
-            "{} × {} × {} × seed {}",
-            self.algorithm,
-            self.workload.label(),
-            self.schedule.label(),
-            self.seed
-        )
-    }
-}
-
-/// One streamed result row: the cell coordinates plus its measurement.
+/// One streamed result row: the cell's key plus its measurement.
 #[derive(Debug, Clone)]
 pub struct SweepRow {
     /// Which cell produced this row.
-    pub cell: SweepCell,
+    pub cell: InstanceKey,
     /// The measured quantities.
     pub measurement: Measurement,
 }
@@ -276,42 +247,6 @@ impl From<DeployError> for MeasureError {
     }
 }
 
-/// Error aborting a sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SweepError {
-    /// A dimension of the cross product is empty.
-    EmptyDimension {
-        /// Which builder list was empty.
-        dimension: &'static str,
-    },
-    /// A cell failed; carries the cell label for diagnosis.
-    Cell {
-        /// Enumeration index of the failing cell.
-        index: usize,
-        /// [`SweepCell::label`] of the failing cell.
-        label: String,
-        /// The underlying measurement error.
-        error: MeasureError,
-    },
-}
-
-impl std::fmt::Display for SweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SweepError::EmptyDimension { dimension } => {
-                write!(f, "sweep has an empty {dimension} list")
-            }
-            SweepError::Cell {
-                index,
-                label,
-                error,
-            } => write!(f, "sweep cell #{index} ({label}) failed: {error}"),
-        }
-    }
-}
-
-impl std::error::Error for SweepError {}
-
 /// Measures one run of `algorithm` on `init` under `schedule`, using the
 /// [`Deployment`] builder. `Schedule::Synchronous` selects the lock-step
 /// driver mode.
@@ -361,92 +296,63 @@ pub fn measure_with_ideal_time(
     Ok(sync_m)
 }
 
+/// The per-cell job of a [`Sweep`]: one measured run under the cell's
+/// schedule.
+#[derive(Debug, Clone, Default)]
+pub struct SweepJob {
+    ideal_time: bool,
+    threads: Option<usize>,
+    limits: Option<RunLimits>,
+}
+
+impl CellJob for SweepJob {
+    const KIND: JobKind = JobKind::Sweep;
+    type Row = SweepRow;
+    type Error = MeasureError;
+
+    fn row(&self, key: &InstanceKey, init: &InitialConfig) -> Result<SweepRow, MeasureError> {
+        let schedule = key.schedule.expect("sweep keys carry a schedule");
+        let measurement = if self.ideal_time && schedule != Schedule::Synchronous {
+            measure_with_ideal_time(init, key.algorithm, schedule, self.limits)?
+        } else {
+            measure_one(init, key.algorithm, schedule, self.limits)?
+        };
+        Ok(SweepRow {
+            cell: key.clone(),
+            measurement,
+        })
+    }
+
+    fn threads(&self) -> usize {
+        self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+    }
+}
+
 /// A batch of measurement runs over the cross product
 /// algorithms × workloads × schedules × seeds.
 ///
 /// Cells execute in parallel on OS threads ([`Sweep::threads`] caps the
 /// pool; the default is the machine's available parallelism) and results
-/// stream to the caller **in deterministic cell order**, so a parallel
-/// sweep is row-for-row identical to a sequential one.
-#[derive(Debug, Clone)]
-pub struct Sweep {
-    algorithms: Vec<Algorithm>,
-    workloads: Vec<(Workload, Option<u64>)>,
-    schedules: Vec<SweepSchedule>,
-    seeds: Vec<u64>,
-    ideal_time: bool,
-    threads: Option<usize>,
-    limits: Option<RunLimits>,
-    faults: FaultPlan,
-}
-
-impl Default for Sweep {
-    fn default() -> Self {
-        Sweep::new()
-    }
-}
+/// stream to the caller **in deterministic row order**, so a parallel
+/// sweep is row-for-row identical to `threads(1)`.
+pub type Sweep = Batch<SweepJob>;
 
 impl Sweep {
-    /// An empty sweep: add at least one algorithm, workload, schedule and
-    /// seed before running ([`Sweep::seeds`] defaults to the single seed
-    /// 0 if never called).
-    pub fn new() -> Self {
-        Sweep {
-            algorithms: Vec::new(),
-            workloads: Vec::new(),
-            schedules: Vec::new(),
-            seeds: vec![0],
-            ideal_time: false,
-            threads: None,
-            limits: None,
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// Adds one algorithm.
-    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithms.push(algorithm);
-        self
-    }
-
-    /// Adds several algorithms.
-    pub fn algorithms(mut self, algorithms: impl IntoIterator<Item = Algorithm>) -> Self {
-        self.algorithms.extend(algorithms);
-        self
-    }
-
-    /// Adds one workload family.
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workloads.push((workload, None));
-        self
-    }
-
-    /// Adds several workload families.
-    pub fn workloads(mut self, workloads: impl IntoIterator<Item = Workload>) -> Self {
-        self.workloads
-            .extend(workloads.into_iter().map(|w| (w, None)));
-        self
-    }
-
-    /// Adds a workload with a **fixed** seed that overrides the sweep's
-    /// seed list for this workload (the resolved per-cell seed also feeds
-    /// [`SweepSchedule::RandomPerSeed`]). This is how per-cell seed
-    /// conventions like Table 1's `1000 + cell_index` are expressed.
-    pub fn seeded_workload(mut self, workload: Workload, seed: u64) -> Self {
-        self.workloads.push((workload, Some(seed)));
-        self
-    }
-
     /// Adds a preset schedule. `Schedule::Synchronous` makes the cell run
     /// in lock-step mode.
     pub fn schedule(mut self, preset: Schedule) -> Self {
-        self.schedules.push(SweepSchedule::Preset(preset));
+        self.grid.schedules.push(SweepSchedule::Preset(preset));
         self
     }
 
     /// Adds several preset schedules.
     pub fn schedules(mut self, presets: impl IntoIterator<Item = Schedule>) -> Self {
-        self.schedules
+        self.grid
+            .schedules
             .extend(presets.into_iter().map(SweepSchedule::Preset));
         self
     }
@@ -454,13 +360,7 @@ impl Sweep {
     /// Adds the per-seed random schedule: each cell runs under
     /// `Schedule::Random(cell_seed)`.
     pub fn random_per_seed(mut self) -> Self {
-        self.schedules.push(SweepSchedule::RandomPerSeed);
-        self
-    }
-
-    /// Replaces the seed list (default: the single seed 0).
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
+        self.grid.schedules.push(SweepSchedule::RandomPerSeed);
         self
     }
 
@@ -469,218 +369,20 @@ impl Sweep {
     /// ([`MeasureError::VerdictMismatch`]), and the synchronous
     /// measurement (carrying `ideal_time`) becomes the row.
     pub fn with_ideal_time(mut self) -> Self {
-        self.ideal_time = true;
+        self.job.ideal_time = true;
         self
     }
 
     /// Caps the worker-thread count (default: available parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.job.threads = Some(threads.max(1));
         self
     }
 
     /// Overrides the run limits of every cell.
     pub fn limits(mut self, limits: RunLimits) -> Self {
-        self.limits = Some(limits);
+        self.job.limits = Some(limits);
         self
-    }
-
-    /// Injects a deterministic fault plan into every cell's instance
-    /// (default: fault-free). The plan joins the instance the same way
-    /// [`InitialConfig::with_faults`] does, so an empty plan leaves
-    /// every measurement bit-identical to a plain sweep.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Enumerates the cells in deterministic order (algorithms outermost,
-    /// seeds innermost). Workloads with a fixed seed contribute one cell
-    /// per schedule instead of one per schedule × seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SweepError::EmptyDimension`] when a dimension is empty.
-    pub fn cells(&self) -> Result<Vec<SweepCell>, SweepError> {
-        for (dimension, empty) in [
-            ("algorithm", self.algorithms.is_empty()),
-            ("workload", self.workloads.is_empty()),
-            ("schedule", self.schedules.is_empty()),
-            ("seed", self.seeds.is_empty()),
-        ] {
-            if empty {
-                return Err(SweepError::EmptyDimension { dimension });
-            }
-        }
-        let mut cells = Vec::new();
-        for &algorithm in &self.algorithms {
-            for &(workload, fixed_seed) in &self.workloads {
-                for &schedule in &self.schedules {
-                    let seeds: &[u64] = match &fixed_seed {
-                        Some(seed) => std::slice::from_ref(seed),
-                        None => &self.seeds,
-                    };
-                    for &seed in seeds {
-                        cells.push(SweepCell {
-                            index: cells.len(),
-                            algorithm,
-                            workload,
-                            schedule: schedule.resolve(seed),
-                            seed,
-                        });
-                    }
-                }
-            }
-        }
-        Ok(cells)
-    }
-
-    fn measure_cell(&self, cell: &SweepCell) -> Result<Measurement, MeasureError> {
-        let init = cell
-            .workload
-            .instantiate(cell.seed)
-            .with_faults(self.faults.clone());
-        if self.ideal_time && cell.schedule != Schedule::Synchronous {
-            measure_with_ideal_time(&init, cell.algorithm, cell.schedule, self.limits)
-        } else {
-            measure_one(&init, cell.algorithm, cell.schedule, self.limits)
-                .map_err(MeasureError::from)
-        }
-    }
-
-    /// Runs every cell and collects the rows in cell order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (lowest-index) failing cell's error; rows after
-    /// a failure are discarded.
-    pub fn run(&self) -> Result<Vec<SweepRow>, SweepError> {
-        let mut rows = Vec::new();
-        self.stream(|row| rows.push(row))?;
-        Ok(rows)
-    }
-
-    /// Runs every cell sequentially on the calling thread — the reference
-    /// implementation that parallel [`Sweep::run`] must match row for
-    /// row.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sweep::run`].
-    pub fn run_sequential(&self) -> Result<Vec<SweepRow>, SweepError> {
-        let cells = self.cells()?;
-        let mut rows = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let measurement = self.measure_cell(&cell).map_err(|error| SweepError::Cell {
-                index: cell.index,
-                label: cell.label(),
-                error,
-            })?;
-            rows.push(SweepRow { cell, measurement });
-        }
-        Ok(rows)
-    }
-
-    /// Executes all cells in parallel, invoking `on_row` for every result
-    /// **in cell order** as soon as its contiguous prefix has completed
-    /// (streaming: early rows are delivered while later cells still run).
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index failing cell's error. `on_row` is never
-    /// called for rows at or after the failing index.
-    pub fn stream(&self, mut on_row: impl FnMut(SweepRow)) -> Result<(), SweepError> {
-        let cells = self.cells()?;
-        if cells.is_empty() {
-            return Ok(());
-        }
-        let workers = self
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
-            .min(cells.len());
-        if workers <= 1 {
-            return self.run_sequential().map(|rows| {
-                for row in rows {
-                    on_row(row);
-                }
-            });
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<usize>();
-        let slots: Vec<Mutex<Option<Result<SweepRow, SweepError>>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let cells = &cells;
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let cell = cells[i].clone();
-                    let result = self
-                        .measure_cell(&cell)
-                        .map(|measurement| SweepRow {
-                            cell: cells[i].clone(),
-                            measurement,
-                        })
-                        .map_err(|error| SweepError::Cell {
-                            index: cell.index,
-                            label: cell.label(),
-                            error,
-                        });
-                    *slots[i].lock().expect("sweep slot poisoned") = Some(result);
-                    if tx.send(i).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-
-            // Emit the contiguous prefix in order as results land.
-            let mut emitted = 0usize;
-            let mut first_error: Option<SweepError> = None;
-            for _ in 0..cells.len() {
-                let Ok(_done) = rx.recv() else { break };
-                while emitted < cells.len() {
-                    let mut slot = slots[emitted].lock().expect("sweep slot poisoned");
-                    match slot.take() {
-                        None => break,
-                        Some(Ok(row)) => {
-                            drop(slot);
-                            if first_error.is_none() {
-                                on_row(row);
-                            }
-                            emitted += 1;
-                        }
-                        Some(Err(error)) => {
-                            drop(slot);
-                            if first_error.is_none() {
-                                first_error = Some(error);
-                                // The sweep's outcome is decided: park the
-                                // work queue so idle workers stop picking
-                                // up cells (in-flight cells still finish).
-                                next.store(cells.len(), Ordering::Relaxed);
-                            }
-                            emitted += 1;
-                        }
-                    }
-                }
-            }
-            match first_error {
-                None => Ok(()),
-                Some(error) => Err(error),
-            }
-        })
     }
 }
 
@@ -832,66 +534,16 @@ mod tests {
     }
 
     #[test]
-    fn cross_product_enumeration_is_complete_and_ordered() {
-        let cells = small_sweep().cells().unwrap();
-        assert_eq!(cells.len(), 3 * 2 * 2 * 2);
-        for (i, cell) in cells.iter().enumerate() {
-            assert_eq!(cell.index, i);
-        }
-        // Seeds innermost.
-        assert_eq!(cells[0].seed, 11);
-        assert_eq!(cells[1].seed, 12);
-        // RandomPerSeed resolves to the cell seed.
-        let random_cells: Vec<_> = cells
-            .iter()
-            .filter(|c| matches!(c.schedule, Schedule::Random(_)))
-            .collect();
-        assert!(random_cells
-            .iter()
-            .all(|c| c.schedule == Schedule::Random(c.seed)));
-    }
-
-    #[test]
-    fn empty_dimensions_are_reported() {
-        let err = Sweep::new().cells().unwrap_err();
-        assert_eq!(
-            err,
-            SweepError::EmptyDimension {
-                dimension: "algorithm"
+    fn parallel_rows_equal_serial_rows_at_any_thread_count() {
+        let serial = small_sweep().threads(1).run().unwrap();
+        assert_eq!(serial.len(), 3 * 2 * 2 * 2);
+        for threads in [2, 3, 4] {
+            let parallel = small_sweep().threads(threads).run().unwrap();
+            assert_eq!(serial.len(), parallel.len());
+            for (a, b) in serial.iter().zip(&parallel) {
+                assert_eq!(a.cell, b.cell);
+                assert_eq!(a.measurement, b.measurement);
             }
-        );
-        let err = Sweep::new()
-            .algorithm(Algorithm::LogSpace)
-            .workload(Workload::Uniform { n: 8, k: 2 })
-            .cells()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SweepError::EmptyDimension {
-                dimension: "schedule"
-            }
-        );
-    }
-
-    #[test]
-    fn parallel_rows_equal_sequential_rows() {
-        let sweep = small_sweep();
-        let sequential = sweep.run_sequential().unwrap();
-        let parallel = sweep.clone().threads(4).run().unwrap();
-        assert_eq!(sequential.len(), parallel.len());
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.measurement, b.measurement);
-        }
-    }
-
-    #[test]
-    fn sweep_is_deterministic_for_a_fixed_seed() {
-        let rows1 = small_sweep().threads(3).run().unwrap();
-        let rows2 = small_sweep().threads(2).run().unwrap();
-        for (a, b) in rows1.iter().zip(&rows2) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.measurement, b.measurement);
         }
     }
 
@@ -924,20 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_workloads_override_the_seed_list() {
-        let cells = Sweep::new()
-            .algorithm(Algorithm::FullKnowledge)
-            .seeded_workload(Workload::Random { n: 16, k: 3 }, 777)
-            .random_per_seed()
-            .seeds([1, 2, 3])
-            .cells()
-            .unwrap();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].seed, 777);
-        assert_eq!(cells[0].schedule, Schedule::Random(777));
-    }
-
-    #[test]
     fn failing_cell_aborts_with_its_label() {
         // Unreachable limits force a StepLimitExceeded in every cell.
         let err = Sweep::new()
@@ -947,22 +585,11 @@ mod tests {
             .limits(RunLimits::new(5, 5))
             .run()
             .unwrap_err();
-        let SweepError::Cell { index, label, .. } = err else {
+        let crate::BatchError::Cell { index, label, .. } = err else {
             panic!("expected cell error, got {err:?}");
         };
         assert_eq!(index, 0);
         assert!(label.contains("quarter(n=64,k=16)"), "{label}");
-    }
-
-    #[test]
-    fn streaming_delivers_rows_in_cell_order() {
-        let mut indices = Vec::new();
-        small_sweep()
-            .threads(4)
-            .stream(|row| indices.push(row.cell.index))
-            .unwrap();
-        assert_eq!(indices, (0..indices.len().max(1)).collect::<Vec<_>>());
-        assert!(!indices.is_empty());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub fn scheduler_ablation() -> String {
         all_ok &= m.success;
         table.row(vec![
             m.algorithm.name().into(),
-            row.cell.schedule.label(),
+            m.schedule.label(),
             m.total_moves.to_string(),
             if m.success { "yes".into() } else { "NO".into() },
         ]);

@@ -45,7 +45,7 @@ use ringdeploy_json::{Json, ToJson};
 
 use crate::cache::ResultCache;
 use crate::pool::{WorkItem, WorkerPool};
-use crate::protocol::{parse_request, Backpressure, Request, Response, RowFrame, StatsReport};
+use crate::protocol::{Backpressure, Request, Response, RowFrame, StatsReport};
 
 /// Tuning knobs of a daemon instance.
 #[derive(Debug, Clone, Copy)]
@@ -113,14 +113,15 @@ pub enum Event {
         /// mode's single client).
         eof_is_shutdown: bool,
     },
-    /// One request line arrived on `conn`.
+    /// One frame arrived on `conn`, already parsed by its reader.
     Frame {
         /// Source connection.
         conn: ConnId,
-        /// The raw line (one JSON frame).
-        line: String,
+        /// The request, or why the frame is not one.
+        request: Result<Request, String>,
     },
-    /// The connection reached EOF or errored.
+    /// The connection reached EOF or errored, or its reader gave up on
+    /// it.
     Closed {
         /// The connection that went away.
         conn: ConnId,
@@ -365,7 +366,7 @@ impl Daemon {
                     },
                 );
             }
-            Event::Frame { conn, line } => match parse_request(&line) {
+            Event::Frame { conn, request } => match request {
                 Ok(request) => self.handle_request(conn, request),
                 Err(message) => self.send_to(conn, &Response::Error { id: None, message }),
             },
@@ -381,8 +382,11 @@ impl Daemon {
                     // (EOF is the single client's shutdown request).
                     self.begin_shutdown();
                 } else {
-                    if let Some(c) = self.conns.get_mut(&conn) {
-                        c.open = false;
+                    // Nothing more is sent on a closed connection: hang
+                    // it up so the client sees EOF after any frame
+                    // already written, and release the socket.
+                    if let Some(mut c) = self.conns.remove(&conn) {
+                        c.sink.hangup();
                     }
                     self.cancel_conn_jobs(conn);
                 }

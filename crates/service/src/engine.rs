@@ -91,18 +91,14 @@ pub fn compute(key: &InstanceKey) -> Result<Json, String> {
 /// generators `assert!` their parameters) into errors — a daemon must
 /// survive a malformed job.
 fn instantiate(key: &InstanceKey) -> Result<InitialConfig, String> {
-    let workload = key.workload;
-    let seed = key.seed;
-    std::panic::catch_unwind(move || workload.instantiate(seed))
-        .map(|init| init.with_faults(key.faults.clone()))
-        .map_err(|panic| {
-            let detail = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("invalid parameters");
-            format!("{}: workload rejected: {detail}", key.label())
-        })
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| key.instantiate())).map_err(|panic| {
+        let detail = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("invalid parameters");
+        format!("{}: workload rejected: {detail}", key.label())
+    })
 }
 
 #[cfg(test)]

@@ -21,7 +21,8 @@
 //! * [`pool`] — the `std::thread` worker pool behind a bounded queue
 //!   (the backpressure bound);
 //! * [`daemon`] — the stewart-style actor loop owning all state;
-//! * [`server`] — TCP and stdio transports;
+//! * [`server`] — TCP and stdio transports, sharing one bounded reader
+//!   that parses frames before they reach the actor;
 //! * [`client`] — a minimal blocking client.
 //!
 //! # Example
@@ -70,6 +71,6 @@ pub use client::Client;
 pub use daemon::{ClientSink, Daemon, DaemonConfig, Event};
 pub use protocol::{
     parse_request, parse_response, Backpressure, CacheStats, JobSpec, Request, Response, RowFrame,
-    StatsReport,
+    StatsReport, MAX_JOB_CELLS,
 };
-pub use server::{serve_stdio, Server};
+pub use server::{serve_stdio, Server, MAX_FRAME_BYTES};

@@ -26,10 +26,10 @@
 //! `stats` answers a stats request; `bye` acknowledges shutdown and
 //! precedes connection close.
 
+use std::convert::Infallible;
+
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
-use ringdeploy_analysis::{
-    Certify, EvidenceTier, Explore, Objective, Sweep, SweepSchedule, Workload,
-};
+use ringdeploy_analysis::{EvidenceTier, Grid, Objective, SweepSchedule, Workload};
 use ringdeploy_core::Algorithm;
 use ringdeploy_json::{FromJson, Json, JsonError, ToJson};
 use ringdeploy_sim::FaultPlan;
@@ -65,12 +65,16 @@ impl Backpressure {
     }
 }
 
+/// Most cells one job may expand to. [`JobSpec::keys`] refuses a larger
+/// job before enumerating it, so a small submit frame cannot make the
+/// daemon build millions of keys.
+pub const MAX_JOB_CELLS: usize = 1 << 16;
+
 /// A batch of queries of one [`JobKind`], expressed as a cross product —
 /// the submit payload. Expands to [`InstanceKey`]s via [`JobSpec::keys`]
-/// by reusing the deterministic cell enumerations of the existing batch
-/// builders ([`Sweep::cells`], [`Explore::cells`], [`Certify::cells`]),
-/// so a job's row order is identical to the corresponding offline
-/// batch's row order.
+/// through the same [`Grid`] the offline batches enumerate, so a job's
+/// row order is identical to the corresponding offline batch's row
+/// order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Which engine runs.
@@ -131,75 +135,36 @@ impl JobSpec {
     }
 
     /// Expands the cross product into cache keys, in the deterministic
-    /// row order of the underlying batch builder.
+    /// row order of the batch grid.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for empty dimensions.
+    /// Returns a human-readable message for empty dimensions and for
+    /// jobs of more than [`MAX_JOB_CELLS`] cells.
     pub fn keys(&self) -> Result<Vec<InstanceKey>, String> {
-        let seeds = if self.seeds.is_empty() {
-            vec![0]
-        } else {
-            self.seeds.clone()
+        let grid = Grid {
+            kind: self.kind,
+            algorithms: self.algorithms.clone(),
+            workloads: self.workloads.iter().map(|&w| (w, None)).collect(),
+            schedules: or_default(&self.schedules, &[SweepSchedule::RandomPerSeed]),
+            objectives: or_default(&self.objectives, &Objective::ALL),
+            seeds: or_default(&self.seeds, &[0]),
+            tier: self.tier,
+            faults: self.faults.clone(),
         };
-        let mut keys: Vec<InstanceKey> = match self.kind {
-            JobKind::Sweep => {
-                let mut sweep = Sweep::new()
-                    .algorithms(self.algorithms.iter().copied())
-                    .workloads(self.workloads.iter().copied())
-                    .seeds(seeds);
-                let schedules = if self.schedules.is_empty() {
-                    &[SweepSchedule::RandomPerSeed][..]
-                } else {
-                    &self.schedules[..]
-                };
-                for schedule in schedules {
-                    sweep = match schedule {
-                        SweepSchedule::Preset(preset) => sweep.schedule(*preset),
-                        SweepSchedule::RandomPerSeed => sweep.random_per_seed(),
-                    };
-                }
-                let cells = sweep.cells().map_err(|e| e.to_string())?;
-                cells.iter().map(InstanceKey::for_sweep).collect()
-            }
-            JobKind::Explore => {
-                let explore = Explore::new()
-                    .algorithms(self.algorithms.iter().copied())
-                    .workloads(self.workloads.iter().copied())
-                    .seeds(seeds);
-                let cells = explore.cells().map_err(|e| e.to_string())?;
-                cells.iter().map(InstanceKey::for_explore).collect()
-            }
-            JobKind::Adversary | JobKind::Certify => {
-                let mut certify = Certify::new()
-                    .algorithms(self.algorithms.iter().copied())
-                    .workloads(self.workloads.iter().copied())
-                    .seeds(seeds)
-                    .tier(self.tier);
-                if !self.objectives.is_empty() {
-                    certify = certify.objectives(self.objectives.iter().copied());
-                }
-                let cells = certify.cells().map_err(|e| e.to_string())?;
-                cells
-                    .iter()
-                    .map(|cell| {
-                        if self.kind == JobKind::Adversary {
-                            InstanceKey::for_adversary(cell)
-                        } else {
-                            InstanceKey::for_certify(cell, self.tier)
-                        }
-                    })
-                    .collect()
-            }
-        };
-        if !self.faults.is_empty() {
-            keys = keys
-                .into_iter()
-                .map(|key| key.with_faults(self.faults.clone()))
-                .collect();
+        let cells = grid.cell_count();
+        if cells > MAX_JOB_CELLS {
+            return Err(format!(
+                "job has {cells} cells, over the limit of {MAX_JOB_CELLS} per job"
+            ));
         }
-        Ok(keys)
+        grid.keys::<Infallible>().map_err(|e| e.to_string())
     }
+}
+
+/// `list`, or `default` when `list` is empty.
+fn or_default<T: Clone>(list: &[T], default: &[T]) -> Vec<T> {
+    if list.is_empty() { default } else { list }.to_vec()
 }
 
 /// A client → daemon frame.

@@ -1,23 +1,29 @@
 //! Transports: TCP listener and stdio, both feeding the [`Daemon`]'s
 //! event queue.
 //!
-//! Transport threads are dumb pipes — a reader thread turns lines into
-//! [`Event::Frame`]s, the accept thread turns sockets into
-//! [`Event::Opened`]s — and all protocol logic lives in the actor. On
+//! Both transports run one reader, `read_frames`, which bounds,
+//! decodes and parses each frame, so the actor only ever receives typed
+//! requests ([`Event::Frame`]); the accept thread turns sockets into
+//! [`Event::Opened`]s, and all protocol logic lives in the actor. On
 //! shutdown the daemon hangs up every connection
 //! ([`ClientSink::hangup`]), which unblocks the readers; the accept
 //! loop is unblocked by a self-connection, and [`Server::run`] joins
 //! every transport thread before returning.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::daemon::{ClientSink, Daemon, DaemonConfig, Event};
-use crate::protocol::StatsReport;
+use crate::daemon::{ClientSink, ConnId, Daemon, DaemonConfig, Event};
+use crate::protocol::{parse_request, StatsReport};
+
+/// Longest request frame a reader accepts, newline excluded. A longer
+/// frame is answered with an `error` frame and ends its connection, so a
+/// reader never holds more than this much of one frame.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 struct TcpSink(TcpStream);
 
@@ -37,17 +43,36 @@ impl ClientSink for TcpSink {
     }
 }
 
-/// Reads lines from `stream`, posting each as a frame; posts `Closed`
-/// on EOF or error. Exits when the daemon hangs the socket up.
-fn read_loop(conn: u64, stream: TcpStream, events: Sender<Event>) {
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+/// The reader of both transports: splits `input` into newline-delimited
+/// frames, parses each into a request on this thread and posts it to
+/// the actor. A frame that is not UTF-8 or not a valid request posts a
+/// typed error and reading goes on; a frame over [`MAX_FRAME_BYTES`]
+/// posts a typed error and ends the connection. Posts `Closed` when
+/// reading stops — at EOF, on a read error, after an oversize frame, or
+/// when the daemon hangs the connection up.
+fn read_frames(conn: ConnId, mut input: impl BufRead, events: &Sender<Event>) {
+    let limit = MAX_FRAME_BYTES as u64 + 1; // the frame plus its newline
+    let mut frame = Vec::new();
+    loop {
+        frame.clear();
+        match (&mut input).take(limit).read_until(b'\n', &mut frame) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
-        if events.send(Event::Frame { conn, line }).is_err() {
-            return; // daemon gone
+        let oversize = frame.len() as u64 == limit && frame.last() != Some(&b'\n');
+        let request = if oversize {
+            Err(format!(
+                "invalid frame: longer than {MAX_FRAME_BYTES} bytes; closing the connection"
+            ))
+        } else {
+            match std::str::from_utf8(&frame) {
+                Err(e) => Err(format!("invalid frame: not UTF-8 ({e})")),
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => parse_request(text),
+            }
+        };
+        if events.send(Event::Frame { conn, request }).is_err() || oversize {
+            break;
         }
     }
     let _ = events.send(Event::Closed { conn });
@@ -121,7 +146,7 @@ impl Server {
                         let events = events.clone();
                         let reader = std::thread::Builder::new()
                             .name(format!("ringdeployd-reader-{conn}"))
-                            .spawn(move || read_loop(conn, stream, events))
+                            .spawn(move || read_frames(conn, BufReader::new(stream), &events))
                             .expect("spawn reader thread");
                         readers.push(reader);
                     }
@@ -158,12 +183,12 @@ impl Write for StdoutSink {
 impl ClientSink for StdoutSink {}
 
 /// Serves one client over stdin/stdout: requests are lines on stdin,
-/// frames go to stdout, and EOF on stdin is a shutdown request.
-/// Returns the final stats.
+/// frames go to stdout, and EOF on stdin — or an oversize frame — is a
+/// shutdown request. Returns the final stats.
 ///
 /// The stdin reader thread is detached, not joined: if the client sends
 /// a `shutdown` frame without closing stdin, the reader stays blocked
-/// in `read_line` and only exits with the process.
+/// in its read and only exits with the process.
 pub fn serve_stdio(config: DaemonConfig) -> StatsReport {
     let (daemon, events) = Daemon::new(config);
     events
@@ -177,19 +202,7 @@ pub fn serve_stdio(config: DaemonConfig) -> StatsReport {
         let events = events.clone();
         std::thread::Builder::new()
             .name("ringdeployd-stdin".to_string())
-            .spawn(move || {
-                let stdin = io::stdin();
-                for line in stdin.lock().lines() {
-                    let Ok(line) = line else { break };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if events.send(Event::Frame { conn: 0, line }).is_err() {
-                        return;
-                    }
-                }
-                let _ = events.send(Event::Closed { conn: 0 });
-            })
+            .spawn(move || read_frames(0, io::stdin().lock(), &events))
             .expect("spawn stdin reader");
     }
     daemon.run()

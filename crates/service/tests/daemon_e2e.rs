@@ -5,13 +5,16 @@
 //! no-thread-leak assertion — `Server::run` joins the pool, the accept
 //! thread and every reader before returning).
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::thread::JoinHandle;
 
 use ringdeploy_analysis::key::JobKind;
 use ringdeploy_analysis::Workload;
 use ringdeploy_core::Algorithm;
 use ringdeploy_service::{
-    Backpressure, Client, DaemonConfig, JobSpec, Request, Response, RowFrame, Server, StatsReport,
+    parse_response, Backpressure, Client, DaemonConfig, JobSpec, Request, Response, RowFrame,
+    Server, StatsReport, MAX_FRAME_BYTES,
 };
 
 fn start(config: DaemonConfig) -> (String, JoinHandle<StatsReport>) {
@@ -407,4 +410,39 @@ fn shutdown_drains_in_flight_jobs() {
     // (Covered implicitly: the daemon already exited, so a new connect
     // must fail.)
     assert!(Client::connect(&addr).is_err(), "daemon is gone");
+}
+
+/// Over TCP, a non-UTF-8 frame gets a typed `error` frame and the
+/// connection keeps serving; an oversize frame gets a typed `error`
+/// frame and then EOF. Another client is still served.
+#[test]
+fn hostile_frames_get_typed_errors() {
+    let (addr, handle) = start(small_config());
+    let mut hostile = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(hostile.try_clone().expect("clone"));
+    let mut next_frame = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read frame");
+        (!line.is_empty()).then(|| parse_response(&line).expect("typed frame"))
+    };
+    hostile
+        .write_all(b"\xff\n{\"type\":\"stats\"}\n")
+        .expect("write");
+    assert!(matches!(
+        next_frame(),
+        Some(Response::Error { id: None, .. })
+    ));
+    assert!(matches!(next_frame(), Some(Response::Stats(_))));
+    // The daemon hangs up before reading it all, so the write may fail.
+    let _ = hostile.write_all(&vec![b'x'; 2 * MAX_FRAME_BYTES]);
+    assert!(matches!(
+        next_frame(),
+        Some(Response::Error { id: None, .. })
+    ));
+    assert_eq!(next_frame(), None, "connection closed after the error");
+
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(stats(&mut client).active_jobs, 0);
+    shutdown(&mut client);
+    handle.join().expect("server thread");
 }

@@ -8,7 +8,7 @@ use ringdeploy_core::{Algorithm, Schedule};
 use ringdeploy_json::{FromJson, Json, ToJson};
 use ringdeploy_service::{
     parse_request, parse_response, Backpressure, CacheStats, JobSpec, Request, Response, RowFrame,
-    StatsReport,
+    StatsReport, MAX_JOB_CELLS,
 };
 use ringdeploy_sim::{AgentId, FaultPlan};
 
@@ -368,6 +368,27 @@ fn empty_dimensions_are_rejected() {
         ..spec()
     };
     assert!(job.keys().is_err());
+}
+
+/// A job is refused before enumeration when its cells exceed
+/// `MAX_JOB_CELLS`: exactly at the cap expands, one over does not.
+#[test]
+fn job_cells_are_capped() {
+    let at_cap = JobSpec {
+        seeds: (0..MAX_JOB_CELLS as u64).collect(),
+        ..JobSpec::new(
+            JobKind::Sweep,
+            Algorithm::FullKnowledge,
+            Workload::Random { n: 16, k: 4 },
+        )
+    };
+    assert_eq!(at_cap.keys().expect("at the cap").len(), MAX_JOB_CELLS);
+    let over = JobSpec {
+        seeds: (0..=MAX_JOB_CELLS as u64).collect(),
+        ..at_cap
+    };
+    let message = over.keys().expect_err("one over the cap");
+    assert!(message.contains(&MAX_JOB_CELLS.to_string()), "{message}");
 }
 
 /// Cache-identity separation across problem families: two keys that

@@ -395,10 +395,10 @@ fn run(opts: &Options) -> Result<(), String> {
 }
 
 /// Exhaustively verifies the instance: every fair asynchronous schedule,
-/// with rotation-symmetry reduction, via the `Explore` batch surface.
+/// with rotation-symmetry reduction, through `explore_one`. (The
+/// `Explore` batch enumerates workload families; a CLI instance has
+/// explicit homes, so it explores that one instance directly.)
 fn explore(opts: &Options, init: &InitialConfig) -> Result<(), String> {
-    // The `Explore` batch surface enumerates Workload families; a CLI
-    // instance has explicit homes, so it drives the Explorer directly.
     let report = explore_instance(opts, init)?;
     if opts.json {
         #[cfg(feature = "serde")]

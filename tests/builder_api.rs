@@ -142,7 +142,7 @@ fn demo_sweep() -> Sweep {
 fn sweep_is_deterministic_under_a_fixed_seed() {
     let first = demo_sweep().threads(4).run().expect("sweep");
     let second = demo_sweep().threads(2).run().expect("sweep");
-    let sequential = demo_sweep().run_sequential().expect("sweep");
+    let sequential = demo_sweep().threads(1).run().expect("sweep");
     assert_eq!(first.len(), 3 * 2 * 2);
     for ((a, b), c) in first.iter().zip(&second).zip(&sequential) {
         assert_eq!(a.cell, b.cell);

@@ -18,7 +18,6 @@ use std::hash::{Hash, Hasher};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ringdeploy::analysis::key::InstanceKey;
 use ringdeploy::core::{explore_terminal_ok, ExploreEngine};
 use ringdeploy::sim::canonical::{canonical_fingerprint, plain_fingerprint};
 use ringdeploy::sim::explore::{ExploreReport, Explorer, SymmetryMode};
@@ -225,8 +224,8 @@ fn empty_plan_preserves_daemon_cache_keys() {
     let cells = sweep.cells().expect("cells");
     assert!(!cells.is_empty());
     for cell in &cells {
-        let bare = InstanceKey::for_sweep(cell);
-        let tagged = InstanceKey::for_sweep(cell).with_faults(FaultPlan::none());
+        let bare = cell.clone();
+        let tagged = cell.clone().with_faults(FaultPlan::none());
         assert_eq!(bare.canonical(), tagged.canonical());
         assert_eq!(bare.fingerprint(), tagged.fingerprint());
         assert!(!tagged.canonical().contains("faults"));

@@ -151,11 +151,9 @@ fn stdio_mode_serves_one_client_and_exits_on_eof() {
     assert_eq!(types.last().map(String::as_str), Some("bye"));
 }
 
-/// A hostile frame — a megabyte of `[` — is answered with one typed
-/// `error` frame instead of overflowing the parser's stack; the daemon
-/// then serves the next request and drains to a clean exit on EOF.
-#[test]
-fn stdio_mode_survives_a_deeply_nested_frame() {
+/// Feeds `input` to a stdio daemon, closes stdin (EOF = shutdown),
+/// asserts a clean exit and returns the types of the frames it wrote.
+fn stdio_frame_types(input: &[u8]) -> Vec<String> {
     let mut daemon = binary()
         .args(["--serve", "stdio", "--workers", "1"])
         .stdin(Stdio::piped())
@@ -163,28 +161,50 @@ fn stdio_mode_survives_a_deeply_nested_frame() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn stdio daemon");
-    {
-        let stdin = daemon.stdin.as_mut().expect("daemon stdin");
-        writeln!(stdin, "{}", "[".repeat(1_000_000)).expect("write hostile frame");
-        writeln!(stdin, r#"{{"type":"stats"}}"#).expect("write stats request");
-    }
-    daemon.stdin.take(); // close stdin: EOF = shutdown
-
+    // A daemon that stops reading early closes the pipe mid-write.
+    let _ = daemon.stdin.take().expect("daemon stdin").write_all(input);
     let output = daemon.wait_with_output().expect("daemon exit");
     assert!(
         output.status.success(),
         "daemon must exit 0: {}",
         String::from_utf8_lossy(&output.stderr)
     );
-    let types: Vec<String> = String::from_utf8(output.stdout)
+    String::from_utf8(output.stdout)
         .expect("utf8 frames")
         .lines()
         .map(|l| frame_type(&Json::parse(l).unwrap_or_else(|e| panic!("bad frame {l:?}: {e}"))))
-        .collect();
-    let count = |kind: &str| types.iter().filter(|t| *t == kind).count();
-    assert_eq!(count("error"), 1, "{types:?}");
-    assert_eq!(count("stats"), 1, "{types:?}");
-    assert_eq!(types.last().map(String::as_str), Some("bye"));
+        .collect()
+}
+
+const STATS: &str = r#"{"type":"stats"}"#;
+
+/// A hostile frame — a megabyte of `[` — is answered with one typed
+/// `error` frame instead of overflowing the parser's stack; the daemon
+/// then serves the next request and drains to a clean exit on EOF.
+#[test]
+fn stdio_mode_survives_a_deeply_nested_frame() {
+    let input = format!("{}\n{STATS}\n", "[".repeat(1_000_000));
+    assert_eq!(
+        stdio_frame_types(input.as_bytes()),
+        ["error", "stats", "bye"]
+    );
+}
+
+/// A frame that is not UTF-8 gets a typed `error` frame and reading goes
+/// on: the next request is still answered.
+#[test]
+fn stdio_mode_answers_a_non_utf8_frame_and_keeps_reading() {
+    let input = [&b"\xff\n"[..], STATS.as_bytes(), b"\n"].concat();
+    assert_eq!(stdio_frame_types(&input), ["error", "stats", "bye"]);
+}
+
+/// A frame longer than the reader's bound gets a typed `error` frame and
+/// ends the connection: nothing after it is read, and the daemon drains
+/// and exits 0.
+#[test]
+fn stdio_mode_closes_on_an_oversize_frame() {
+    let input = [&vec![b'x'; 2 << 20][..], b"\n", STATS.as_bytes(), b"\n"].concat();
+    assert_eq!(stdio_frame_types(&input), ["error", "bye"]);
 }
 
 /// Helper: read a sub-object (Json has typed `field` but frames nest).
