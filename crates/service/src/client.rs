@@ -6,13 +6,11 @@
 //! forward frames verbatim (the `ringdeploy --connect` mode does, so
 //! its output stays `jq`-able).
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
-use ringdeploy_json::ToJson;
-
-use crate::protocol::{parse_response, Request, Response};
+use crate::protocol::{parse_response, write_frame, Request, Response};
 
 /// Connect failures worth retrying: the daemon exists (or will momentarily)
 /// but the TCP handshake lost a race with its listener.
@@ -33,13 +31,15 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to `addr` (host:port).
+    /// Connects to `addr` (host:port) with `TCP_NODELAY` set, so each
+    /// request frame leaves as soon as [`Client::send`] writes it.
     ///
     /// # Errors
     ///
-    /// Propagates connect/clone failures.
+    /// Propagates connect/socket-option/clone failures.
     pub fn connect(addr: &str) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Client { writer, reader })
     }
@@ -77,9 +77,7 @@ impl Client {
     ///
     /// Propagates the write failure.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        let line = request.to_json().to_string();
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()
+        write_frame(&mut self.writer, request)
     }
 
     /// Reads the next frame as a raw line; `None` on EOF (the daemon

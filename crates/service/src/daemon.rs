@@ -15,14 +15,17 @@
 //! (`max_jobs`, [`Backpressure`] policy) → `accepted` → for each cell
 //! in order: cache probe (hit ⇒ row ready immediately) or dispatch to
 //! the bounded worker queue (full ⇒ the job *stalls* and retries after
-//! the next completion — the actor never blocks) → rows emitted in
-//! **cell order** as the contiguous ready prefix grows → `done`.
+//! the next completion — the actor never blocks on dispatch) → rows
+//! emitted in **cell order** as the contiguous ready prefix grows →
+//! `done`.
 //!
 //! A failed cell emits `error` and cancels the job's remaining cells; a
 //! job overrunning its `timeout_ms` deadline emits `timeout` and is
-//! cancelled the same way; a closed connection cancels its jobs
-//! silently. Cancelled jobs linger until their in-flight cells drain
-//! (the results still populate the cache) and are then dropped.
+//! cancelled the same way; a closed connection — or one a frame could
+//! not be written to within
+//! [`WRITE_STALL_LIMIT`](crate::server::WRITE_STALL_LIMIT) — cancels
+//! its jobs silently. Cancelled jobs linger until their in-flight cells
+//! drain (the results still populate the cache) and are then dropped.
 //!
 //! # Shutdown
 //!
@@ -41,11 +44,11 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use ringdeploy_analysis::key::InstanceKey;
-use ringdeploy_json::{Json, ToJson};
+use ringdeploy_json::Json;
 
 use crate::cache::ResultCache;
 use crate::pool::{WorkItem, WorkerPool};
-use crate::protocol::{Backpressure, Request, Response, RowFrame, StatsReport};
+use crate::protocol::{write_frame, Backpressure, Request, Response, RowFrame, StatsReport};
 
 /// Tuning knobs of a daemon instance.
 #[derive(Debug, Clone, Copy)]
@@ -137,14 +140,15 @@ struct Conn {
 }
 
 impl Conn {
-    /// Writes one frame; a failed write closes the connection (the
-    /// caller then cancels its jobs via the normal `Closed` path).
+    /// Writes one frame; a failed write — including one a TCP sink's
+    /// write timeout ([`WRITE_STALL_LIMIT`](crate::server::WRITE_STALL_LIMIT))
+    /// cut short — closes the connection (the caller then cancels its
+    /// jobs via the normal `Closed` path).
     fn send(&mut self, response: &Response) -> bool {
         if !self.open {
             return false;
         }
-        let line = response.to_json().to_string();
-        let ok = writeln!(self.sink, "{line}").is_ok() && self.sink.flush().is_ok();
+        let ok = write_frame(&mut self.sink, response).is_ok();
         if !ok {
             self.open = false;
             self.sink.hangup();

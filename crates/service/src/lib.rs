@@ -71,6 +71,6 @@ pub use client::Client;
 pub use daemon::{ClientSink, Daemon, DaemonConfig, Event};
 pub use protocol::{
     parse_request, parse_response, Backpressure, CacheStats, JobSpec, Request, Response, RowFrame,
-    StatsReport, MAX_JOB_CELLS,
+    StatsReport, MAX_JOB_CELLS, MAX_RING_NODES,
 };
-pub use server::{serve_stdio, Server, MAX_FRAME_BYTES};
+pub use server::{serve_stdio, Server, MAX_FRAME_BYTES, WRITE_STALL_LIMIT};

@@ -25,8 +25,12 @@
 //! them when the job overruns its [`JobSpec::timeout_ms`] deadline.
 //! `stats` answers a stats request; `bye` acknowledges shutdown and
 //! precedes connection close.
+//!
+//! Both directions write a frame through one function, `write_frame`:
+//! its JSON and the newline leave in one `write_all`.
 
 use std::convert::Infallible;
+use std::io::{self, Write};
 
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
 use ringdeploy_analysis::{EvidenceTier, Grid, Objective, SweepSchedule, Workload};
@@ -69,6 +73,12 @@ impl Backpressure {
 /// job before enumerating it, so a small submit frame cannot make the
 /// daemon build millions of keys.
 pub const MAX_JOB_CELLS: usize = 1 << 16;
+
+/// Largest ring a job's workload may ask for. [`JobSpec::keys`] refuses a
+/// larger `n`, so a small submit frame cannot make a worker allocate for
+/// billions of nodes — an allocation failure aborts the process, which
+/// the pool's `catch_unwind` cannot catch.
+pub const MAX_RING_NODES: usize = 1 << 16;
 
 /// A batch of queries of one [`JobKind`], expressed as a cross product —
 /// the submit payload. Expands to [`InstanceKey`]s via [`JobSpec::keys`]
@@ -139,8 +149,9 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for empty dimensions and for
-    /// jobs of more than [`MAX_JOB_CELLS`] cells.
+    /// Returns a human-readable message for empty dimensions, for jobs
+    /// of more than [`MAX_JOB_CELLS`] cells and for workloads of more
+    /// than [`MAX_RING_NODES`] nodes.
     pub fn keys(&self) -> Result<Vec<InstanceKey>, String> {
         let grid = Grid {
             kind: self.kind,
@@ -156,6 +167,12 @@ impl JobSpec {
         if cells > MAX_JOB_CELLS {
             return Err(format!(
                 "job has {cells} cells, over the limit of {MAX_JOB_CELLS} per job"
+            ));
+        }
+        if let Some(workload) = self.workloads.iter().find(|w| w.n() > MAX_RING_NODES) {
+            return Err(format!(
+                "workload {} is over the limit of {MAX_RING_NODES} ring nodes",
+                workload.label()
             ));
         }
         grid.keys::<Infallible>().map_err(|e| e.to_string())
@@ -579,4 +596,16 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 pub fn parse_response(line: &str) -> Result<Response, String> {
     let json = Json::parse(line).map_err(|e| format!("invalid JSON frame: {e}"))?;
     Response::from_json(&json).map_err(|e| format!("invalid response: {e}"))
+}
+
+/// Writes one frame — its JSON encoding plus `\n` — with a single
+/// `write_all`, then flushes. With `TCP_NODELAY` set on both ends (see
+/// [`Client::connect`](crate::Client::connect) and [`Server::run`](crate::Server::run))
+/// every frame leaves as soon as it is written; under Nagle's algorithm
+/// a frame split into two writes would wait for the peer's delayed ACK.
+pub(crate) fn write_frame<W: Write + ?Sized>(out: &mut W, frame: &impl ToJson) -> io::Result<()> {
+    let mut line = frame.to_json().to_string();
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
 }

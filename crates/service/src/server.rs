@@ -4,7 +4,9 @@
 //! Both transports run one reader, `read_frames`, which bounds,
 //! decodes and parses each frame, so the actor only ever receives typed
 //! requests ([`Event::Frame`]); the accept thread turns sockets into
-//! [`Event::Opened`]s, and all protocol logic lives in the actor. On
+//! [`Event::Opened`]s, and all protocol logic lives in the actor. Every
+//! accepted socket gets `TCP_NODELAY` and a [`WRITE_STALL_LIMIT`] write
+//! timeout before the actor sees it. On
 //! shutdown the daemon hangs up every connection
 //! ([`ClientSink::hangup`]), which unblocks the readers; the accept
 //! loop is unblocked by a self-connection, and [`Server::run`] joins
@@ -16,6 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::daemon::{ClientSink, ConnId, Daemon, DaemonConfig, Event};
 use crate::protocol::{parse_request, StatsReport};
@@ -25,11 +28,49 @@ use crate::protocol::{parse_request, StatsReport};
 /// reader never holds more than this much of one frame.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
+/// Longest the daemon spends writing one frame to one TCP client. The
+/// actor writes frames with blocking writes, so a client that stops
+/// reading would otherwise hold it — and every other client — once the
+/// socket buffers fill. A frame not written within the limit fails its
+/// write, which closes that connection and cancels its jobs.
+pub const WRITE_STALL_LIMIT: Duration = Duration::from_secs(2);
+
 struct TcpSink(TcpStream);
 
 impl Write for TcpSink {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.0.write(buf)
+    }
+
+    /// Writes one whole frame (the daemon makes one `write_all` per
+    /// frame) within [`WRITE_STALL_LIMIT`]. The socket's write timeout
+    /// bounds only each `write` call, and a call that times out after
+    /// taking part of the frame reports that part as written; so after
+    /// a partial write the next call gets what is left of the limit,
+    /// not a fresh one.
+    fn write_all(&mut self, mut buf: &[u8]) -> io::Result<()> {
+        let deadline = Instant::now() + WRITE_STALL_LIMIT;
+        let mut shortened = false;
+        while !buf.is_empty() {
+            match self.0.write(buf) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => buf = &buf[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+            if !buf.is_empty() {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(io::ErrorKind::TimedOut.into());
+                }
+                self.0.set_write_timeout(Some(left))?;
+                shortened = true;
+            }
+        }
+        if shortened {
+            self.0.set_write_timeout(Some(WRITE_STALL_LIMIT))?;
+        }
+        Ok(())
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -130,7 +171,11 @@ impl Server {
                         }
                         let conn = next_conn;
                         next_conn += 1;
-                        let Ok(write_half) = stream.try_clone() else {
+                        let configured = stream
+                            .set_nodelay(true)
+                            .and_then(|()| stream.set_write_timeout(Some(WRITE_STALL_LIMIT)))
+                            .and_then(|()| stream.try_clone());
+                        let Ok(write_half) = configured else {
                             continue;
                         };
                         if events

@@ -1,17 +1,21 @@
 //! End-to-end daemon tests over real TCP connections: cache
 //! determinism, in-order streaming under a tiny queue, concurrent
-//! clients, admission backpressure, failure isolation and graceful
-//! shutdown (the final `handle.join()` in every test doubles as the
-//! no-thread-leak assertion — `Server::run` joins the pool, the accept
-//! thread and every reader before returning).
+//! clients, admission backpressure, failure isolation, round-trip
+//! latency, stalled readers and graceful shutdown (the final
+//! `handle.join()` in every test doubles as the no-thread-leak
+//! assertion — `Server::run` joins the pool, the accept thread and
+//! every reader before returning).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use ringdeploy_analysis::key::JobKind;
 use ringdeploy_analysis::Workload;
 use ringdeploy_core::Algorithm;
+use ringdeploy_json::ToJson;
 use ringdeploy_service::{
     parse_response, Backpressure, Client, DaemonConfig, JobSpec, Request, Response, RowFrame,
     Server, StatsReport, MAX_FRAME_BYTES,
@@ -445,4 +449,69 @@ fn hostile_frames_get_typed_errors() {
     assert_eq!(stats(&mut client).active_jobs, 0);
     shutdown(&mut client);
     handle.join().expect("server thread");
+}
+
+/// Round trips pay no Nagle stall: each frame leaves in one write on a
+/// `TCP_NODELAY` socket at both ends. When a frame went out as two
+/// writes on Nagle sockets, each round trip waited about 84 ms for a
+/// delayed ACK (50 took about 4.2 s).
+#[test]
+fn sequential_round_trips_do_not_wait_for_delayed_acks() {
+    let (addr, handle) = start(small_config());
+    let mut client = Client::connect(&addr).expect("connect");
+    let started = Instant::now();
+    for _ in 0..50 {
+        stats(&mut client);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 sequential stats round trips took {elapsed:?}"
+    );
+    shutdown(&mut client);
+    handle.join().expect("server thread");
+}
+
+/// A client that submits a 40 000-cell job and never reads fills the
+/// socket buffers, and the actor's next write to it blocks. The write
+/// fails after `WRITE_STALL_LIMIT`, which closes that connection and
+/// cancels its job: a client connecting later is answered, and shutdown
+/// drains while the stalled client is still connected.
+#[test]
+fn a_client_that_stops_reading_does_not_freeze_the_daemon() {
+    let (addr, handle) = start(small_config());
+    let mut stalled = TcpStream::connect(&addr).expect("connect stalled client");
+    let seeds: Vec<u64> = (0..40_000).collect();
+    let submit = Request::Submit {
+        id: 1,
+        backpressure: Backpressure::Block,
+        job: sweep_job(&seeds),
+    };
+    stalled
+        .write_all(format!("{}\n", submit.to_json()).as_bytes())
+        .expect("write submit");
+    std::thread::sleep(Duration::from_secs(6));
+
+    let (answered, answer) = mpsc::channel();
+    let probe = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).expect("connect");
+            let _ = stats(&mut client);
+            answered.send(()).expect("test thread waits");
+            client
+        })
+    };
+    answer
+        .recv_timeout(Duration::from_secs(5))
+        .expect("stats must be answered while another client stalls");
+    let mut client = probe.join().expect("probe thread");
+    shutdown(&mut client);
+    let final_stats = handle.join().expect("server thread");
+    assert_eq!(
+        final_stats.completed_jobs, 0,
+        "the stalled job was cancelled"
+    );
+    // Still connected, still not reading: the daemon gave up on it.
+    drop(stalled);
 }

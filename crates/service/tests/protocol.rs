@@ -2,13 +2,15 @@
 //! JSON encoding, and every encoding's field-name set is pinned so an
 //! accidental rename breaks loudly (clients parse these names).
 
+use proptest::prelude::*;
+use proptest::TestCaseError;
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
 use ringdeploy_analysis::{EvidenceTier, Objective, SweepSchedule, Workload};
 use ringdeploy_core::{Algorithm, Schedule};
 use ringdeploy_json::{FromJson, Json, ToJson};
 use ringdeploy_service::{
     parse_request, parse_response, Backpressure, CacheStats, JobSpec, Request, Response, RowFrame,
-    StatsReport, MAX_JOB_CELLS,
+    StatsReport, MAX_JOB_CELLS, MAX_RING_NODES,
 };
 use ringdeploy_sim::{AgentId, FaultPlan};
 
@@ -62,9 +64,9 @@ fn key() -> InstanceKey {
     }
 }
 
-#[test]
-fn every_request_round_trips() {
-    let requests = [
+/// One frame of every request kind.
+fn requests() -> Vec<Request> {
+    vec![
         Request::Submit {
             id: 3,
             backpressure: Backpressure::Reject,
@@ -72,14 +74,18 @@ fn every_request_round_trips() {
         },
         Request::Stats,
         Request::Shutdown,
-    ];
-    for request in &requests {
+    ]
+}
+
+#[test]
+fn every_request_round_trips() {
+    for request in &requests() {
         assert_eq!(&round_trip_request(request), request);
     }
 }
 
-#[test]
-fn every_response_round_trips() {
+/// One frame of every response kind (`error` with and without an id).
+fn responses() -> Vec<Response> {
     let stats = StatsReport {
         cache: CacheStats {
             hits: 5,
@@ -96,7 +102,7 @@ fn every_response_round_trips() {
         panics: 1,
         timeouts: 2,
     };
-    let responses = [
+    vec![
         Response::Accepted { id: 3, cells: 12 },
         Response::Rejected {
             id: 3,
@@ -126,8 +132,12 @@ fn every_response_round_trips() {
         Response::Timeout { id: 3, rows: 5 },
         Response::Stats(stats),
         Response::Bye,
-    ];
-    for response in &responses {
+    ]
+}
+
+#[test]
+fn every_response_round_trips() {
+    for response in &responses() {
         assert_eq!(&round_trip_response(response), response);
     }
 }
@@ -267,6 +277,123 @@ fn malformed_frames_are_errors_not_panics() {
     assert!(parse_response("{\"type\":\"warp\"}").is_err());
 }
 
+/// Values a mutation swaps in for a number: negative, out of range,
+/// past `u64::MAX`, and of the wrong JSON type.
+const HOSTILE_NUMBERS: [&str; 5] = ["-1", "1e300", "18446744073709551616", "null", "\"x\""];
+
+/// Bytes valid frames are made of, so random strings get past the
+/// tokenizer often enough to reach the decoders.
+const JSON_BYTES: &[u8] = b"{}[]:,\"-.0123456789eEtrufalsnxy ";
+
+/// One wire line per request and response kind, plus a submit of every
+/// job kind with a fault plan and a deadline.
+fn valid_lines() -> Vec<String> {
+    let faulted = spec()
+        .faults(
+            FaultPlan::none()
+                .with_crash(AgentId(1), 2)
+                .with_edge_outages(1),
+        )
+        .timeout_ms(500);
+    let submits = JobKind::ALL.map(|kind| Request::Submit {
+        id: 8,
+        backpressure: Backpressure::Block,
+        job: JobSpec {
+            kind,
+            ..faulted.clone()
+        },
+    });
+    let requests = requests().into_iter().chain(submits);
+    let mut lines: Vec<String> = requests.map(|r| r.to_json().to_string()).collect();
+    lines.extend(responses().iter().map(|r| r.to_json().to_string()));
+    lines
+}
+
+/// The JSON numbers in `bytes`: digit runs right after `:`, `[` or `,`.
+fn numbers(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut runs = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        while i < bytes.len() && bytes[i].is_ascii_digit() {
+            i += 1;
+        }
+        if i > start && start > 0 && b":[,".contains(&bytes[start - 1]) {
+            runs.push(start..i);
+        }
+        i = i.max(start + 1);
+    }
+    runs
+}
+
+/// Applies one mutation: `op` 0 flips bits of a byte, 1 deletes a byte,
+/// 2 inserts `byte`, and 3 to 5 swap a number for a hostile value — a
+/// frame whose structure survives reaches the field decoders.
+fn mutate(bytes: &mut Vec<u8>, (op, at, byte): (u8, usize, u8)) {
+    match op {
+        0 if !bytes.is_empty() => {
+            let i = at % bytes.len();
+            bytes[i] ^= byte.max(1);
+        }
+        1 if !bytes.is_empty() => {
+            bytes.remove(at % bytes.len());
+        }
+        2 => bytes.insert(at % (bytes.len() + 1), byte),
+        _ => {
+            let numbers = numbers(bytes);
+            if !numbers.is_empty() {
+                let number = numbers[at % numbers.len()].clone();
+                let value = HOSTILE_NUMBERS[usize::from(byte) % HOSTILE_NUMBERS.len()];
+                bytes.splice(number, value.bytes());
+            }
+        }
+    }
+}
+
+/// Runs every decoder the daemon's reader and actor threads run on one
+/// line — `parse_request`, `parse_response`, and for a decoded submit
+/// `JobSpec::keys` and each key's `canonical`, `fingerprint` and
+/// `label` — and fails the case if any of them panics: no
+/// `catch_unwind` protects those threads.
+fn decoders_never_panic(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let line = String::from_utf8_lossy(bytes);
+    let outcome = std::panic::catch_unwind(|| {
+        let _ = parse_response(&line);
+        if let Ok(Request::Submit { job, .. }) = parse_request(&line) {
+            for key in job.keys().unwrap_or_default() {
+                let _ = (key.canonical(), key.fingerprint(), key.label());
+            }
+        }
+    });
+    prop_assert!(outcome.is_ok(), "a decoder panicked on {line:?}");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    #[test]
+    fn random_bytes_decode_without_panicking(
+        bytes in prop::collection::vec(0u8..=255, 0..256),
+        json_ish in prop::collection::vec(prop::sample::select(JSON_BYTES.to_vec()), 0..64),
+    ) {
+        decoders_never_panic(&bytes)?;
+        decoders_never_panic(&json_ish)?;
+    }
+
+    #[test]
+    fn mutated_frames_decode_without_panicking(
+        line in prop::sample::select(valid_lines()),
+        mutations in prop::collection::vec((0u8..6, any::<usize>(), 0u8..=255), 1..4),
+    ) {
+        let mut bytes = line.into_bytes();
+        for mutation in mutations {
+            mutate(&mut bytes, mutation);
+        }
+        decoders_never_panic(&bytes)?;
+    }
+}
+
 /// The canonical wire encoding of a frame is deterministic (sorted
 /// keys, no whitespace) — the cache byte-identity guarantee needs this.
 #[test]
@@ -389,6 +516,24 @@ fn job_cells_are_capped() {
     };
     let message = over.keys().expect_err("one over the cap");
     assert!(message.contains(&MAX_JOB_CELLS.to_string()), "{message}");
+}
+
+/// A workload's ring size is capped before any worker instantiates it:
+/// `n` at `MAX_RING_NODES` expands, one over is refused.
+#[test]
+fn ring_sizes_are_capped() {
+    let job = |n| {
+        JobSpec::new(
+            JobKind::Sweep,
+            Algorithm::FullKnowledge,
+            Workload::Uniform { n, k: 2 },
+        )
+    };
+    assert_eq!(job(MAX_RING_NODES).keys().expect("at the cap").len(), 1);
+    let message = job(MAX_RING_NODES + 1)
+        .keys()
+        .expect_err("one over the cap");
+    assert!(message.contains(&MAX_RING_NODES.to_string()), "{message}");
 }
 
 /// Cache-identity separation across problem families: two keys that

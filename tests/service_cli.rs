@@ -207,6 +207,21 @@ fn stdio_mode_closes_on_an_oversize_frame() {
     assert_eq!(stdio_frame_types(&input), ["error", "bye"]);
 }
 
+/// A 162-byte submit asking for a ring of four billion nodes gets one
+/// typed `error` frame before any worker allocates for it, and the next
+/// request is still answered. (An allocation that size aborts the
+/// process; no `catch_unwind` can turn it into an error frame.)
+#[test]
+fn stdio_mode_refuses_a_huge_ring() {
+    let submit = r#"{"type":"submit","id":1,"job":{"kind":"sweep","algorithms":["algo1-full-knowledge"],"workloads":[{"family":"uniform","n":4000000000,"k":4000000000}],"seeds":[1]}}"#;
+    assert_eq!(submit.len(), 162);
+    let input = format!("{submit}\n{STATS}\n");
+    assert_eq!(
+        stdio_frame_types(input.as_bytes()),
+        ["error", "stats", "bye"]
+    );
+}
+
 /// Helper: read a sub-object (Json has typed `field` but frames nest).
 trait FieldJson {
     fn field_json(&self, name: &str) -> &Json;
