@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ringdeploy::sim::canonical::{canonical_fingerprint, plain_fingerprint};
 use ringdeploy::sim::scheduler::{Activation, RoundRobin};
-use ringdeploy::sim::{Behavior, DeploymentCheck, Ring, RunLimits};
+use ringdeploy::sim::{Behavior, DeploymentCheck, Metrics, NodeId, PhaseTally, Ring, RunLimits};
 use ringdeploy::{AgentId, FaultPlan, FullKnowledge, InitialConfig, LogSpace, NoKnowledge};
 
 fn schedule_hash<B>(ring: &Ring<B>) -> u64
@@ -90,6 +90,42 @@ fn edge_outages_respect_one_interval_connectivity() {
     assert_eq!(ring.outages_left(), 1);
 }
 
+/// Everything a faulty `apply`/`undo` round trip must restore: state
+/// identity, the enabled set, the schedule-history counters and the
+/// fault state.
+#[derive(Debug, PartialEq)]
+struct FaultSnapshot {
+    plain_fp: u64,
+    canonical_fp: u64,
+    schedule_hash: u64,
+    enabled: Vec<Activation>,
+    steps: u64,
+    metrics: Metrics,
+    phases: Vec<PhaseTally>,
+    down_edge: Option<NodeId>,
+    outages_left: u32,
+    crashed_count: usize,
+}
+
+fn fault_snapshot<B>(ring: &Ring<B>) -> FaultSnapshot
+where
+    B: Behavior + Clone + Hash,
+    B::Message: Clone + Hash,
+{
+    FaultSnapshot {
+        plain_fp: plain_fingerprint(ring),
+        canonical_fp: canonical_fingerprint(ring),
+        schedule_hash: schedule_hash(ring),
+        enabled: ring.enabled(),
+        steps: ring.steps(),
+        metrics: ring.metrics().clone(),
+        phases: ring.phase_tallies().to_vec(),
+        down_edge: ring.down_edge(),
+        outages_left: ring.outages_left(),
+        crashed_count: ring.crashed_count(),
+    }
+}
+
 /// Faulty `apply`/`undo` is the identity on every observable — the same
 /// contract `reversible.rs` pins for the fault-free engine, here walked
 /// through schedules that interleave crashes and edge outages.
@@ -107,26 +143,14 @@ where
         if enabled.is_empty() {
             break;
         }
-        snapshots.push((
-            plain_fingerprint(&ring),
-            canonical_fingerprint(&ring),
-            schedule_hash(&ring),
-            ring.enabled(),
-        ));
+        snapshots.push(fault_snapshot(&ring));
         let pick = enabled[rng.gen_range(0..enabled.len())];
         undos.push(ring.apply(pick));
     }
     while let Some(undo) = undos.pop() {
         ring.undo(undo);
-        let (plain, canonical, hash, enabled) = snapshots.pop().expect("one snapshot per apply");
-        assert_eq!(plain_fingerprint(&ring), plain, "{label} seed {seed}");
-        assert_eq!(
-            canonical_fingerprint(&ring),
-            canonical,
-            "{label} seed {seed}"
-        );
-        assert_eq!(schedule_hash(&ring), hash, "{label} seed {seed}");
-        assert_eq!(ring.enabled(), enabled, "{label} seed {seed}");
+        let before = snapshots.pop().expect("one snapshot per apply");
+        assert_eq!(fault_snapshot(&ring), before, "{label} seed {seed}");
     }
 }
 
