@@ -1,5 +1,5 @@
 //! Canonical instance identity: the [`InstanceKey`] every report is a
-//! pure function of, plus its collision-resistant [fingerprint]
+//! pure function of, plus its 64-bit fingerprint
 //! (`InstanceKey::fingerprint`).
 //!
 //! Every query the verification stack answers — a sampled run, an

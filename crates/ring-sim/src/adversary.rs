@@ -121,9 +121,8 @@ pub enum Objective {
     /// search's start configuration.
     TotalActivations,
     /// Peak per-agent memory in bits (the paper's *agent memory* row) —
-    /// the running maximum of
-    /// [`Behavior::memory_bits`](crate::Behavior::memory_bits) over
-    /// agents and time, i.e. the watermark
+    /// the running maximum of [`Behavior::memory_bits`] over agents and
+    /// time, i.e. the watermark
     /// [`Metrics::peak_memory_bits`](crate::Metrics::peak_memory_bits).
     PeakMemoryBits,
 }
@@ -263,6 +262,32 @@ fn combine(objective: Objective, gain: u64, rest: u64) -> u64 {
         gain + rest
     } else {
         gain.max(rest)
+    }
+}
+
+/// `gain(a, C)` of the module docs: the objective contribution of `act`,
+/// read off its undo record and the ring the step left behind. The DFS's
+/// Bellman values and the witness descent both call it, so the two cannot
+/// drift apart.
+fn gain<B: Behavior>(
+    objective: Objective,
+    ring: &Ring<B>,
+    act: Activation,
+    undo: &StepUndo<B>,
+) -> u64 {
+    match objective {
+        Objective::TotalMoves => u64::from(undo.moved_to(ring.ring_size()).is_some()),
+        Objective::TotalActivations => 1,
+        // The acting agent's post-step memory observation: the only way
+        // the watermark can rise on this step. Fault moves have no acting
+        // agent and observe nothing.
+        Objective::PeakMemoryBits => {
+            if act.is_fault() {
+                0
+            } else {
+                ring.behavior(act.agent).memory_bits() as u64
+            }
+        }
     }
 }
 
@@ -433,20 +458,7 @@ impl Adversary {
             let undo = cur.apply(act);
             let patch = cache.patch(&cur, &undo);
             let fp = cache.fingerprint(&cur);
-            let gain = match objective {
-                Objective::TotalMoves => u64::from(undo.moved_to(cur.ring_size()).is_some()),
-                Objective::TotalActivations => 1,
-                // The acting agent's post-step memory observation: the
-                // only way the watermark can rise on this step. Fault
-                // moves have no acting agent and observe nothing.
-                Objective::PeakMemoryBits => {
-                    if act.is_fault() {
-                        0
-                    } else {
-                        cur.behavior(act.agent).memory_bits() as u64
-                    }
-                }
-            };
+            let gain = gain(objective, &cur, act, &undo);
             let terminal = cur.enabled_activations().is_empty();
             let solved = match visited.entry(fp) {
                 std::collections::hash_map::Entry::Occupied(seen) => match *seen.get() {
@@ -544,17 +556,7 @@ impl Adversary {
                 let undo = cur.apply(act);
                 let patch = cache.patch(&cur, &undo);
                 let fp = cache.fingerprint(&cur);
-                let gain = match objective {
-                    Objective::TotalMoves => u64::from(undo.moved_to(cur.ring_size()).is_some()),
-                    Objective::TotalActivations => 1,
-                    Objective::PeakMemoryBits => {
-                        if act.is_fault() {
-                            0
-                        } else {
-                            cur.behavior(act.agent).memory_bits() as u64
-                        }
-                    }
-                };
+                let gain = gain(objective, &cur, act, &undo);
                 // A child absent from the map was bound-pruned (never
                 // expanded): the prune certified a solved sibling
                 // attains at least its best possible contribution, so

@@ -391,8 +391,8 @@ where
 /// in exactly the form [`Ring::undo`] needs to reverse it.
 ///
 /// Deliberately **not** a snapshot: only the touched cells are stored (the
-/// pre-step behavior of the one agent that acted, the drained inbox, the
-/// broadcast receiver list, the vacated staying-list position, the
+/// pre-step behavior of the one agent that acted, the drained inbox,
+/// whether it broadcast, the vacated staying-list position, the
 /// enabled-set edits and the metric/phase deltas), so the record is a few
 /// words for a typical step. Schedule-history that the step appends to but
 /// that can be reversed arithmetically (metrics counters, phase tallies,
@@ -403,18 +403,20 @@ pub struct StepUndo<B: Behavior> {
     /// The node the action executed at (for edge-fault moves: the node
     /// whose incoming edge was taken down or restored).
     node: NodeId,
-    /// `None` for edge-fault moves (no agent acted).
+    /// Saved by [`Ring::apply`]; `None` for edge-fault moves and
+    /// crash-stops (no behavior ran) and in the record `step` drops.
     prev_behavior: Option<B>,
     prev_place: Place,
     prev_idle: Idle,
     released_token: bool,
     /// The inbox contents the action consumed, in FIFO order.
     drained: Vec<B::Message>,
-    /// Broadcast receivers in delivery order, each flagged with whether
-    /// the delivery enabled it (empty-inbox suspended receiver).
-    receivers: Vec<(AgentId, bool)>,
-    /// For a staying agent that moved: the staying-list index it vacated
-    /// (list order is part of the configuration identity).
+    /// Whether the action broadcast. The receivers are not stored: they
+    /// are the node's other staying agents, which undo has restored by
+    /// the time it reverses the deliveries.
+    broadcast: bool,
+    /// For a staying agent that moved or crash-stopped: the staying-list
+    /// index it vacated (list order is part of the configuration identity).
     left_staying_pos: Option<usize>,
     moved: bool,
     /// LIFO ablation only: the queue head the push displaced.
@@ -907,7 +909,7 @@ impl<B: Behavior> Ring<B> {
     /// * a staying agent may wake if it is `Ready`, or if it is `Suspended`
     ///   with a non-empty inbox. Halted agents never wake.
     ///
-    /// Reads the incrementally maintained [`EnabledSet`] — `O(k)` for the
+    /// Reads the incrementally maintained enabled set — `O(k)` for the
     /// copy, not the historical `Θ(n + k)` rescan. The order is the
     /// canonical scan order (arrivals by destination node, then wakes by
     /// agent id), identical to [`Ring::enabled_rescan`]. Callers that only
@@ -926,7 +928,7 @@ impl<B: Behavior> Ring<B> {
 
     /// Recomputes the enabled activations by a full scan of all link
     /// queues and agent slots — the **reference implementation** the
-    /// incremental [`EnabledSet`] must agree with at every reachable
+    /// incremental enabled set must agree with at every reachable
     /// configuration (`tests/differential_enabled.rs` replays identical
     /// schedules through both and asserts bit-identical executions).
     ///
@@ -977,255 +979,21 @@ impl<B: Behavior> Ring<B> {
     /// Panics if the activation is not currently enabled (engine misuse) or
     /// if a behavior releases a token twice (protocol bug worth failing
     /// loudly on).
+    // Out of line on purpose: inlined into `run`'s loop, the shared body
+    // measured ~5 % slower per step than this call.
+    #[inline(never)]
     pub fn step(&mut self, activation: Activation) {
-        // Edge-fault moves mutate link availability, not agents.
-        if activation.is_fault() {
-            assert!(
-                self.enabled
-                    .contains(self.enabled_key_of(activation), activation),
-                "fault move {activation:?} is not enabled"
-            );
-            self.edge_fault_finish(activation);
-            return;
-        }
-        let id = activation.agent;
-        let idx = id.index();
-
-        // 0. Consume the activation from the enabled set; the arms below
-        // re-insert whatever the mutations re-enable.
-        assert!(
-            self.enabled
-                .contains(self.enabled_key_of(activation), activation),
-            "activation of {id} (arrival: {}) is not enabled",
-            activation.arrival
-        );
-        self.enabled_remove_agent(id);
-
-        // 1. Resolve the node and (for arrivals) complete the move.
-        let node = if activation.arrival {
-            let to = match meta_place(self.meta[idx]) {
-                Place::InTransit { to } => to,
-                Place::Staying { .. } => panic!("arrival activation for staying agent {id}"),
-            };
-            let q = &mut self.links[to.index()];
-            assert_eq!(
-                q.front().copied(),
-                Some(id),
-                "agent {id} must be at the head of its link queue (FIFO)"
-            );
-            q.pop_front();
-            // Link pop: the next queued agent (if any) becomes the head
-            // and may now arrive.
-            if let Some(&new_head) = q.front() {
-                self.enabled
-                    .insert(to.index(), Activation::arrival(new_head));
-            }
-            self.sync_down_candidate(to.index());
-            to
-        } else {
-            match meta_place(self.meta[idx]) {
-                Place::Staying { at } => at,
-                Place::InTransit { .. } => panic!("wake activation for in-transit agent {id}"),
-            }
-        };
-
-        // 1b. A planned crash-stop consumes the activation: no
-        // computation, the held token drops where the agent died, its
-        // pending messages become dead letters, and it never acts again.
-        if self.crash_due(id) {
-            self.crash_finish(activation, node);
-            if let Some(trace) = &mut self.trace {
-                trace.push(Event::Stayed {
-                    agent: id,
-                    node,
-                    idle: Idle::Halted,
-                });
-            }
-            return;
-        }
-        self.acted[idx] += 1;
-
-        // 2. Consume all pending messages.
-        let messages: Vec<B::Message> = self.inboxes[idx].drain(..).collect();
-
-        // 3. Local computation.
-        let staying_others = self.staying[node.index()]
-            .iter()
-            .filter(|&&a| a != id)
-            .count();
-        let obs = Observation {
-            tokens: self.tokens[node.index()],
-            staying_agents: staying_others,
-            messages: &messages,
-            arrived: activation.arrival,
-        };
-        let action: Action<B::Message> = self.behaviors[idx].act(&obs);
-        self.steps += 1;
-        self.metrics.record_activation(id);
-        self.metrics
-            .observe_memory(self.behaviors[idx].memory_bits());
-        let phase = self.behaviors[idx].phase_name();
-        let tally = match self.phases.iter_mut().find(|t| t.name == phase) {
-            Some(tally) => tally,
-            None => {
-                self.phases.push(PhaseTally {
-                    name: phase,
-                    activations: 0,
-                    moves: 0,
-                });
-                self.phases.last_mut().expect("just pushed")
-            }
-        };
-        tally.activations += 1;
-        if action.next == Next::Move {
-            tally.moves += 1;
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.push(Event::Activated {
-                agent: id,
-                node,
-                arrived: activation.arrival,
-                messages: messages.len(),
-                phase: self.behaviors[idx].phase_name(),
-            });
-        }
-
-        // 4a. Token release.
-        if action.release_token {
-            assert!(
-                self.meta[idx] & TOKEN_HELD != 0,
-                "agent {id} released its token twice"
-            );
-            self.set_token_held(idx, false);
-            self.tokens[node.index()] += 1;
-            self.metrics.record_token_release();
-            if let Some(trace) = &mut self.trace {
-                trace.push(Event::TokenReleased { agent: id, node });
-            }
-        }
-
-        // 4b. Broadcast to agents staying at the node (excluding self).
-        if let Some(msg) = action.broadcast {
-            let mut receivers = 0usize;
-            // Split borrows: collect receiver ids first.
-            let targets: Vec<AgentId> = self.staying[node.index()]
-                .iter()
-                .copied()
-                .filter(|&a| a != id)
-                .collect();
-            for a in targets {
-                // Inbox push: a suspended receiver with a previously empty
-                // inbox becomes enabled. Ready receivers already are;
-                // halted receivers never wake.
-                let was_empty = self.inboxes[a.index()].is_empty();
-                self.inboxes[a.index()].push_back(msg.clone());
-                receivers += 1;
-                if was_empty && meta_idle(self.meta[a.index()]) == Idle::Suspended {
-                    self.enabled.insert(self.n + a.index(), Activation::wake(a));
-                }
-            }
-            self.metrics.record_broadcast(receivers);
-            if let Some(trace) = &mut self.trace {
-                trace.push(Event::Broadcast {
-                    agent: id,
-                    node,
-                    receivers,
-                });
-            }
-        }
-
-        // 5. Move or stay.
-        match action.next {
-            Next::Move => {
-                if !activation.arrival {
-                    // Leaving a node it was staying at.
-                    let p = &mut self.staying[node.index()];
-                    if let Some(pos) = p.iter().position(|&a| a == id) {
-                        p.remove(pos);
-                    }
-                }
-                let dest = node.next(self.n);
-                // While the destination edge is down, no head is enabled
-                // there — the mover queues up silently until Restore.
-                let dest_down = self.down_edge == Some(dest);
-                match self.discipline {
-                    LinkDiscipline::Fifo => {
-                        let q = &mut self.links[dest.index()];
-                        q.push_back(id);
-                        // Link push (FIFO): only a push onto an empty queue
-                        // creates a new head.
-                        if q.len() == 1 && !dest_down {
-                            self.enabled.insert(dest.index(), Activation::arrival(id));
-                        }
-                    }
-                    LinkDiscipline::Lifo => {
-                        let q = &mut self.links[dest.index()];
-                        q.push_front(id);
-                        // Link push (LIFO ablation): the mover overtakes;
-                        // the displaced head (if any) is no longer enabled.
-                        // On a down edge the old head was already disabled
-                        // and the new one stays out of the set.
-                        if !dest_down {
-                            // The displaced head's arrival shares the
-                            // mover's key (both are keyed by `dest`), so
-                            // remove+insert reuses the hole in place.
-                            if q.get(1).is_some() {
-                                self.enabled.remove(dest.index());
-                            }
-                            self.enabled.insert(dest.index(), Activation::arrival(id));
-                        }
-                    }
-                }
-                self.sync_down_candidate(dest.index());
-                self.set_place(idx, Place::InTransit { to: dest });
-                self.set_idle(idx, Idle::Ready);
-                self.metrics.record_move(id);
-                if let Some(trace) = &mut self.trace {
-                    trace.push(Event::Moved {
-                        agent: id,
-                        from: node,
-                        to: dest,
-                    });
-                }
-            }
-            Next::Stay(idle) => {
-                if activation.arrival {
-                    self.staying[node.index()].push(id);
-                }
-                self.set_place(idx, Place::Staying { at: node });
-                self.set_idle(idx, idle);
-                // Idle transition: `Ready` re-enables the agent;
-                // `Suspended` wakes only on a non-empty inbox (always empty
-                // here — the inbox was drained this step and broadcasts
-                // exclude self — but checked rather than assumed); `Halted`
-                // leaves the agent out of the set for good.
-                let wake = match idle {
-                    Idle::Ready => true,
-                    Idle::Suspended => !self.inboxes[idx].is_empty(),
-                    Idle::Halted => false,
-                };
-                if wake {
-                    self.enabled.insert(self.n + idx, Activation::wake(id));
-                }
-                if let Some(trace) = &mut self.trace {
-                    trace.push(Event::Stayed {
-                        agent: id,
-                        node,
-                        idle,
-                    });
-                }
-            }
-        }
-        self.enabled.flush();
+        self.transition(activation, |_| None);
     }
 
-    /// Executes one atomic action exactly like [`Ring::step`], but returns
-    /// a [`StepUndo`] record from which [`Ring::undo`] restores the ring
-    /// **bit-exactly** — configuration, enabled set, behavior states,
-    /// metrics, phase tallies and step counter all included.
+    /// Executes one atomic action exactly like [`Ring::step`] (both run
+    /// the same transition body), but returns a [`StepUndo`] record from
+    /// which [`Ring::undo`] restores the ring **bit-exactly** —
+    /// configuration, enabled set, behavior states, metrics, phase tallies
+    /// and step counter all included.
     ///
     /// Only the cells the action actually mutated are recorded (the popped
-    /// link head, the drained inbox, broadcast deltas, idle transitions,
+    /// link head, the drained inbox, the broadcast flag, idle transitions,
     /// enabled-set edits, metrics/phase deltas), so an `apply`/`undo` pair
     /// costs `O(touched)` — a handful of words plus one behavior clone —
     /// instead of the `O(n + k)` deep clone the exhaustive explorer used
@@ -1250,15 +1018,37 @@ impl<B: Behavior> Ring<B> {
             "apply requires tracing disabled: the bounded trace buffer is lossy and cannot be \
              rolled back"
         );
-        // Edge-fault moves: no agent acts; the record carries only the
-        // toggled edge and the previous down state.
+        // The acting agent's behavior is the one pre-step cell the body
+        // overwrites without recording it, and only a `B: Clone` caller
+        // can save it.
+        self.transition(activation, |behavior| Some(behavior.clone()))
+    }
+
+    /// Stages 0–5 of one atomic action, shared by [`Ring::step`] and
+    /// [`Ring::apply`]. Returns the undo record of every cell it mutated.
+    /// `save` sees the acting agent's behavior just before the computation
+    /// overwrites it, and its result is the record's `prev_behavior`. It is
+    /// never called for a fault move (no behavior runs) or a crash-stop
+    /// (the computation is skipped), so neither pays a clone. `step`
+    /// saves nothing and drops the record.
+    ///
+    /// Each arm builds its record as one literal from locals, and the
+    /// helpers return plain tuples. A record built up front and filled in
+    /// place, or handed to a helper by reference, kept `step` from
+    /// discarding it: ~10–20 % slower per step on a 2-vCPU host.
+    #[inline(always)]
+    fn transition(
+        &mut self,
+        activation: Activation,
+        save: impl FnOnce(&B) -> Option<B>,
+    ) -> StepUndo<B> {
+        // Edge-fault moves mutate link availability, not agents.
         if activation.is_fault() {
             assert!(
                 self.enabled
                     .contains(self.enabled_key_of(activation), activation),
                 "fault move {activation:?} is not enabled"
             );
-            let prev_peak_memory_bits = self.metrics.peak_memory_bits();
             let (node, prev_down_edge) = self.edge_fault_finish(activation);
             return StepUndo {
                 activation,
@@ -1268,13 +1058,13 @@ impl<B: Behavior> Ring<B> {
                 prev_idle: Idle::Ready,
                 released_token: false,
                 drained: Vec::new(),
-                receivers: Vec::new(),
+                broadcast: false,
                 left_staying_pos: None,
                 moved: false,
                 displaced: None,
                 successor_enabled: None,
                 re_enabled: false,
-                prev_peak_memory_bits,
+                prev_peak_memory_bits: self.metrics.peak_memory_bits(),
                 phase: "",
                 phase_new: false,
                 crashed: false,
@@ -1284,6 +1074,8 @@ impl<B: Behavior> Ring<B> {
         let id = activation.agent;
         let idx = id.index();
 
+        // 0. Consume the activation from the enabled set; the arms below
+        // re-insert whatever the mutations re-enable.
         assert!(
             self.enabled
                 .contains(self.enabled_key_of(activation), activation),
@@ -1291,10 +1083,7 @@ impl<B: Behavior> Ring<B> {
             activation.arrival
         );
         self.enabled_remove_agent(id);
-
         let prev_place = meta_place(self.meta[idx]);
-        let prev_idle = meta_idle(self.meta[idx]);
-        let prev_peak_memory_bits = self.metrics.peak_memory_bits();
 
         // 1. Resolve the node and (for arrivals) complete the move.
         let mut successor_enabled = None;
@@ -1310,6 +1099,8 @@ impl<B: Behavior> Ring<B> {
                 "agent {id} must be at the head of its link queue (FIFO)"
             );
             q.pop_front();
+            // Link pop: the next queued agent (if any) becomes the head
+            // and may now arrive.
             if let Some(&new_head) = q.front() {
                 successor_enabled = Some(new_head);
                 self.enabled
@@ -1323,11 +1114,21 @@ impl<B: Behavior> Ring<B> {
                 Place::InTransit { .. } => panic!("wake activation for in-transit agent {id}"),
             }
         };
+        let prev_idle = meta_idle(self.meta[idx]);
+        let prev_peak_memory_bits = self.metrics.peak_memory_bits();
 
-        // 1b. A planned crash-stop: the activation is consumed, no
-        // computation runs, no phase/metric activation bookkeeping.
+        // 1b. A planned crash-stop consumes the activation: no
+        // computation, the held token drops where the agent died, its
+        // pending messages become dead letters, and it never acts again.
         if self.crash_due(id) {
             let (drained, left_staying_pos, released_token) = self.crash_finish(activation, node);
+            if let Some(trace) = &mut self.trace {
+                trace.push(Event::Stayed {
+                    agent: id,
+                    node,
+                    idle: Idle::Halted,
+                });
+            }
             return StepUndo {
                 activation,
                 node,
@@ -1336,7 +1137,7 @@ impl<B: Behavior> Ring<B> {
                 prev_idle,
                 released_token,
                 drained,
-                receivers: Vec::new(),
+                broadcast: false,
                 left_staying_pos,
                 moved: false,
                 displaced: None,
@@ -1350,12 +1151,13 @@ impl<B: Behavior> Ring<B> {
             };
         }
         self.acted[idx] += 1;
-        let prev_behavior = self.behaviors[idx].clone();
+        // The computation below overwrites the behavior; save it first.
+        let prev_behavior = save(&self.behaviors[idx]);
 
         // 2. Consume all pending messages (kept for the undo record).
         let drained: Vec<B::Message> = self.inboxes[idx].drain(..).collect();
 
-        // 3. Local computation — bookkeeping mirrors `step` op for op.
+        // 3. Local computation.
         let staying_others = self.staying[node.index()]
             .iter()
             .filter(|&&a| a != id)
@@ -1389,10 +1191,18 @@ impl<B: Behavior> Ring<B> {
         if action.next == Next::Move {
             tally.moves += 1;
         }
+        if let Some(trace) = &mut self.trace {
+            trace.push(Event::Activated {
+                agent: id,
+                node,
+                arrived: activation.arrival,
+                messages: drained.len(),
+                phase,
+            });
+        }
 
         // 4a. Token release.
-        let released_token = action.release_token;
-        if released_token {
+        if action.release_token {
             assert!(
                 self.meta[idx] & TOKEN_HELD != 0,
                 "agent {id} released its token twice"
@@ -1400,36 +1210,50 @@ impl<B: Behavior> Ring<B> {
             self.set_token_held(idx, false);
             self.tokens[node.index()] += 1;
             self.metrics.record_token_release();
+            if let Some(trace) = &mut self.trace {
+                trace.push(Event::TokenReleased { agent: id, node });
+            }
         }
 
         // 4b. Broadcast to agents staying at the node (excluding self).
-        let mut receivers: Vec<(AgentId, bool)> = Vec::new();
+        let broadcast = action.broadcast.is_some();
         if let Some(msg) = action.broadcast {
+            let mut receivers = 0usize;
+            // Split borrows: collect receiver ids first.
             let targets: Vec<AgentId> = self.staying[node.index()]
                 .iter()
                 .copied()
                 .filter(|&a| a != id)
                 .collect();
             for a in targets {
+                // Inbox push: a suspended receiver with a previously empty
+                // inbox becomes enabled. Ready receivers already are;
+                // halted receivers never wake.
                 let was_empty = self.inboxes[a.index()].is_empty();
                 self.inboxes[a.index()].push_back(msg.clone());
-                let enables = was_empty && meta_idle(self.meta[a.index()]) == Idle::Suspended;
-                if enables {
+                receivers += 1;
+                if was_empty && meta_idle(self.meta[a.index()]) == Idle::Suspended {
                     self.enabled.insert(self.n + a.index(), Activation::wake(a));
                 }
-                receivers.push((a, enables));
             }
-            self.metrics.record_broadcast(receivers.len());
+            self.metrics.record_broadcast(receivers);
+            if let Some(trace) = &mut self.trace {
+                trace.push(Event::Broadcast {
+                    agent: id,
+                    node,
+                    receivers,
+                });
+            }
         }
 
         // 5. Move or stay.
         let mut left_staying_pos = None;
         let mut displaced = None;
         let mut re_enabled = false;
-        let moved = action.next == Next::Move;
         match action.next {
             Next::Move => {
                 if !activation.arrival {
+                    // Leaving a node it was staying at.
                     let p = &mut self.staying[node.index()];
                     let pos = p
                         .iter()
@@ -1439,11 +1263,15 @@ impl<B: Behavior> Ring<B> {
                     left_staying_pos = Some(pos);
                 }
                 let dest = node.next(self.n);
+                // While the destination edge is down, no head is enabled
+                // there — the mover queues up silently until Restore.
                 let dest_down = self.down_edge == Some(dest);
                 match self.discipline {
                     LinkDiscipline::Fifo => {
                         let q = &mut self.links[dest.index()];
                         q.push_back(id);
+                        // Link push (FIFO): only a push onto an empty queue
+                        // creates a new head.
                         if q.len() == 1 && !dest_down {
                             re_enabled = true;
                             self.enabled.insert(dest.index(), Activation::arrival(id));
@@ -1452,7 +1280,14 @@ impl<B: Behavior> Ring<B> {
                     LinkDiscipline::Lifo => {
                         let q = &mut self.links[dest.index()];
                         q.push_front(id);
+                        // Link push (LIFO ablation): the mover overtakes;
+                        // the displaced head (if any) is no longer enabled.
+                        // On a down edge the old head was already disabled
+                        // and the new one stays out of the set.
                         if !dest_down {
+                            // The displaced head's arrival shares the
+                            // mover's key (both are keyed by `dest`), so
+                            // remove+insert reuses the hole in place.
                             displaced = q.get(1).copied();
                             if displaced.is_some() {
                                 self.enabled.remove(dest.index());
@@ -1466,6 +1301,13 @@ impl<B: Behavior> Ring<B> {
                 self.set_place(idx, Place::InTransit { to: dest });
                 self.set_idle(idx, Idle::Ready);
                 self.metrics.record_move(id);
+                if let Some(trace) = &mut self.trace {
+                    trace.push(Event::Moved {
+                        agent: id,
+                        from: node,
+                        to: dest,
+                    });
+                }
             }
             Next::Stay(idle) => {
                 if activation.arrival {
@@ -1473,6 +1315,11 @@ impl<B: Behavior> Ring<B> {
                 }
                 self.set_place(idx, Place::Staying { at: node });
                 self.set_idle(idx, idle);
+                // Idle transition: `Ready` re-enables the agent;
+                // `Suspended` wakes only on a non-empty inbox (always empty
+                // here — the inbox was drained this step and broadcasts
+                // exclude self — but checked rather than assumed); `Halted`
+                // leaves the agent out of the set for good.
                 let wake = match idle {
                     Idle::Ready => true,
                     Idle::Suspended => !self.inboxes[idx].is_empty(),
@@ -1482,21 +1329,27 @@ impl<B: Behavior> Ring<B> {
                     re_enabled = true;
                     self.enabled.insert(self.n + idx, Activation::wake(id));
                 }
+                if let Some(trace) = &mut self.trace {
+                    trace.push(Event::Stayed {
+                        agent: id,
+                        node,
+                        idle,
+                    });
+                }
             }
         }
         self.enabled.flush();
-
         StepUndo {
             activation,
             node,
-            prev_behavior: Some(prev_behavior),
+            prev_behavior,
             prev_place,
             prev_idle,
-            released_token,
+            released_token: action.release_token,
             drained,
-            receivers,
+            broadcast,
             left_staying_pos,
-            moved,
+            moved: action.next == Next::Move,
             displaced,
             successor_enabled,
             re_enabled,
@@ -1552,57 +1405,6 @@ impl<B: Behavior> Ring<B> {
             self.enabled.flush();
             return;
         }
-        // Crash-stops reverse the stage-1 + crash bookkeeping only — no
-        // computation, broadcast or move ever happened.
-        if undo.crashed {
-            let StepUndo {
-                activation,
-                node,
-                prev_place,
-                prev_idle,
-                released_token,
-                drained,
-                left_staying_pos,
-                successor_enabled,
-                ..
-            } = undo;
-            let id = activation.agent;
-            let idx = id.index();
-            debug_assert!(self.crashed[idx], "undo out of order: agent not crashed");
-            self.crashed[idx] = false;
-            self.acted[idx] -= 1;
-            self.steps -= 1;
-            self.set_place(idx, prev_place);
-            self.set_idle(idx, prev_idle);
-            if released_token {
-                self.set_token_held(idx, true);
-                self.tokens[node.index()] -= 1;
-                self.metrics.unrecord_token_release();
-            }
-            if let Some(pos) = left_staying_pos {
-                self.staying[node.index()].insert(pos, id);
-            }
-            debug_assert!(
-                self.inboxes[idx].is_empty(),
-                "undo out of order: inbox refilled"
-            );
-            self.inboxes[idx].extend(drained);
-            if activation.arrival {
-                if let Some(s) = successor_enabled {
-                    self.enabled_remove_agent(s);
-                }
-                self.links[node.index()].push_front(id);
-                self.sync_down_candidate(node.index());
-            }
-            let key = if activation.arrival {
-                node.index()
-            } else {
-                self.n + idx
-            };
-            self.enabled.insert(key, activation);
-            self.enabled.flush();
-            return;
-        }
         let StepUndo {
             activation,
             node,
@@ -1611,7 +1413,7 @@ impl<B: Behavior> Ring<B> {
             prev_idle,
             released_token,
             drained,
-            receivers,
+            broadcast,
             left_staying_pos,
             moved,
             displaced,
@@ -1620,14 +1422,20 @@ impl<B: Behavior> Ring<B> {
             prev_peak_memory_bits,
             phase,
             phase_new,
-            crashed: _,
+            crashed,
             prev_down_edge: _,
         } = undo;
         let id = activation.agent;
         let idx = id.index();
 
-        // 5'. Reverse the move/stay (the last thing `apply` did).
-        if moved {
+        // 5'. Reverse the move/stay (the last thing the step did). A
+        // crash-stop did neither: it took the agent out of the staying set
+        // and skipped stages 2–5, so only its stage-1 and crash
+        // bookkeeping is reversed.
+        if crashed {
+            debug_assert!(self.crashed[idx], "undo out of order: agent not crashed");
+            self.crashed[idx] = false;
+        } else if moved {
             let dest = node.next(self.n);
             if re_enabled {
                 self.enabled_remove_agent(id);
@@ -1648,9 +1456,6 @@ impl<B: Behavior> Ring<B> {
                 }
             }
             self.sync_down_candidate(dest.index());
-            if let Some(pos) = left_staying_pos {
-                self.staying[node.index()].insert(pos, id);
-            }
             self.metrics.unrecord_move(id);
         } else {
             if re_enabled {
@@ -1661,23 +1466,38 @@ impl<B: Behavior> Ring<B> {
                 debug_assert_eq!(popped, Some(id), "undo out of order: settler not last");
             }
         }
+        if let Some(pos) = left_staying_pos {
+            self.staying[node.index()].insert(pos, id);
+        }
         self.set_place(idx, prev_place);
         self.set_idle(idx, prev_idle);
 
-        // 4b'. Reverse the broadcast, last delivery first.
-        for &(a, enabled) in receivers.iter().rev() {
-            let popped = self.inboxes[a.index()].pop_back();
-            debug_assert!(
-                popped.is_some(),
-                "undo out of order: delivered message gone"
-            );
-            if enabled {
-                self.enabled_remove_agent(a);
+        // 4b'. Reverse the broadcast. Its receivers were the node's other
+        // staying agents, a list 5' has just restored; a delivery enabled
+        // its receiver exactly when it found a suspended agent with an
+        // empty inbox, i.e. when popping it leaves one.
+        if broadcast {
+            let mut receivers = 0usize;
+            for i in 0..self.staying[node.index()].len() {
+                let a = self.staying[node.index()][i];
+                if a == id {
+                    continue;
+                }
+                let inbox = &mut self.inboxes[a.index()];
+                let popped = inbox.pop_back();
+                debug_assert!(
+                    popped.is_some(),
+                    "undo out of order: delivered message gone"
+                );
+                receivers += 1;
+                if inbox.is_empty() && meta_idle(self.meta[a.index()]) == Idle::Suspended {
+                    self.enabled_remove_agent(a);
+                }
             }
+            self.metrics.unrecord_broadcast(receivers);
         }
-        self.metrics.unrecord_broadcast(receivers.len());
 
-        // 4a'. Reverse the token release.
+        // 4a'. Reverse the token release (for a crash-stop: the drop).
         if released_token {
             self.set_token_held(idx, true);
             self.tokens[node.index()] -= 1;
@@ -1685,24 +1505,26 @@ impl<B: Behavior> Ring<B> {
         }
 
         // 3'. Reverse the computation bookkeeping.
-        let tally = self
-            .phases
-            .iter_mut()
-            .find(|t| t.name == phase)
-            .expect("undo out of order: phase tally missing");
-        tally.activations -= 1;
-        if moved {
-            tally.moves -= 1;
+        if !crashed {
+            let tally = self
+                .phases
+                .iter_mut()
+                .find(|t| t.name == phase)
+                .expect("undo out of order: phase tally missing");
+            tally.activations -= 1;
+            if moved {
+                tally.moves -= 1;
+            }
+            if phase_new {
+                debug_assert_eq!(self.phases.last().map(|t| t.name), Some(phase));
+                self.phases.pop();
+            }
+            self.metrics.unrecord_activation(id);
+            self.metrics.set_peak_memory(prev_peak_memory_bits);
+            self.behaviors[idx] = prev_behavior.expect("apply records the prev behavior");
         }
-        if phase_new {
-            debug_assert_eq!(self.phases.last().map(|t| t.name), Some(phase));
-            self.phases.pop();
-        }
-        self.metrics.unrecord_activation(id);
-        self.metrics.set_peak_memory(prev_peak_memory_bits);
         self.steps -= 1;
         self.acted[idx] -= 1;
-        self.behaviors[idx] = prev_behavior.expect("normal step records its prev behavior");
 
         // 2'. Restore the drained inbox (FIFO order preserved).
         debug_assert!(
@@ -1808,39 +1630,44 @@ impl<B: Behavior> Ring<B> {
                     limit: limits.max_rounds,
                 });
             }
-            // Snapshot the incremental set (no rescan) — the activations
-            // enabled at the start of the round, executed in agent-id
-            // order. Edge-fault moves are adversary choices and the
-            // synchronous driver is not an adversary: ideal time is
-            // measured on a fault-free network, so they are never played
-            // here (planned crash-stops still fire — they live inside
-            // `step`, not in the move set).
-            let mut enabled: Vec<Activation> = self
-                .enabled
-                .as_slice()
-                .iter()
-                .copied()
-                .filter(|a| !a.is_fault())
-                .collect();
-            enabled.sort_by_key(|a| a.agent.index());
-            for act in enabled {
-                // Re-validate: the activation may have been disabled by an
-                // earlier action this round (under the LIFO ablation, a
-                // smaller-id agent overtaking the queue head). It cannot
-                // have been disabled *and re-enabled in the same form*
-                // within one round — re-enabling an overtaken arrival
-                // would require the overtaker to arrive too, i.e. act
-                // twice in one round, and a snapshot holds at most one
-                // activation per agent. Under FIFO the check is provably
-                // vacuous (heads only change by their own arrival; ready
-                // agents stay ready; inboxes only grow mid-round), so no
-                // activation is ever double-charged within a round —
-                // `tests/sync_round_semantics.rs` pins both facts.
-                if self.is_enabled(act) {
-                    self.step(act);
-                }
-            }
+            self.step_round();
             rounds += 1;
+        }
+    }
+
+    /// Executes one lock-step round — the unit [`Ring::run_synchronous`]
+    /// counts: the activations enabled at the start of the round, each
+    /// once, in agent-id order. Agents enabled mid-round wait for the next
+    /// round. Edge-fault moves are adversary choices and a synchronous
+    /// round is not an adversary: ideal time is measured on a fault-free
+    /// network, so they are never played here (planned crash-stops still
+    /// fire — they live inside [`Ring::step`], not in the move set).
+    pub fn step_round(&mut self) {
+        // Snapshot the incremental set (no rescan).
+        let mut enabled: Vec<Activation> = self
+            .enabled
+            .as_slice()
+            .iter()
+            .copied()
+            .filter(|a| !a.is_fault())
+            .collect();
+        enabled.sort_by_key(|a| a.agent.index());
+        for act in enabled {
+            // Re-validate: the activation may have been disabled by an
+            // earlier action this round (under the LIFO ablation, a
+            // smaller-id agent overtaking the queue head). It cannot
+            // have been disabled *and re-enabled in the same form*
+            // within one round — re-enabling an overtaken arrival
+            // would require the overtaker to arrive too, i.e. act
+            // twice in one round, and a snapshot holds at most one
+            // activation per agent. Under FIFO the check is provably
+            // vacuous (heads only change by their own arrival; ready
+            // agents stay ready; inboxes only grow mid-round), so no
+            // activation is ever double-charged within a round —
+            // `tests/sync_round_semantics.rs` pins both facts.
+            if self.is_enabled(act) {
+                self.step(act);
+            }
         }
     }
 

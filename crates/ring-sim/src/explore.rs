@@ -19,7 +19,11 @@
 //! every finite execution prefix appears in the graph, exhaustive success
 //! on an instance is a machine-checked proof of the algorithm's
 //! correctness on that instance — far stronger than any number of random
-//! runs.
+//! runs — **up to fingerprint collisions**. The visited set is keyed by
+//! bare 64-bit fingerprints, so two distinct configurations that collide
+//! are merged and the second one's subtree is never checked (hash
+//! compaction, in Stern and Dill's sense); collisions are not detected
+//! today.
 //!
 //! # The [`Explorer`] engine
 //!

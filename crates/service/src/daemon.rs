@@ -3,21 +3,21 @@
 //! a single event queue.
 //!
 //! The design follows the stewart actor style: a [`Daemon`] is a
-//! `World` whose process queue ([`Daemon::queue_process`]) holds job
-//! ids, deduplicated, and [`Daemon::run_until_idle`] drains it after
+//! `World` whose process queue (`Daemon::queue_process`) holds job
+//! ids, deduplicated, and `Daemon::run_until_idle` drains it after
 //! every external event. Transport threads (readers, workers) never
 //! touch state — they only post [`Event`]s — so there is no lock
 //! hierarchy and job processing is deterministic given the event order.
 //!
 //! # Per-job lifecycle
 //!
-//! `submit` → keys expanded ([`JobSpec::keys`]) → admission check
-//! (`max_jobs`, [`Backpressure`] policy) → `accepted` → for each cell
-//! in order: cache probe (hit ⇒ row ready immediately) or dispatch to
-//! the bounded worker queue (full ⇒ the job *stalls* and retries after
-//! the next completion — the actor never blocks on dispatch) → rows
-//! emitted in **cell order** as the contiguous ready prefix grows →
-//! `done`.
+//! `submit` → keys expanded ([`JobSpec::keys`](crate::JobSpec::keys))
+//! → admission check (`max_jobs`, [`Backpressure`] policy) → `accepted`
+//! → for each cell in order: cache probe (hit ⇒ row ready immediately)
+//! or dispatch to the bounded worker queue (full ⇒ the job *stalls* and
+//! retries after the next completion — the actor never blocks on
+//! dispatch) → rows emitted in **cell order** as the contiguous ready
+//! prefix grows → `done`.
 //!
 //! A failed cell emits `error` and cancels the job's remaining cells; a
 //! job overrunning its `timeout_ms` deadline emits `timeout` and is

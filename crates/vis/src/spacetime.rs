@@ -71,7 +71,9 @@ impl SpaceTime {
     }
 
     /// Runs the ring in lock-step rounds, capturing a row before the first
-    /// round and after every round, until quiescence or `max_rounds`.
+    /// round and after every round, until quiescence or `max_rounds`. The
+    /// rounds are [`Ring::step_round`]'s, so the diagram shows exactly the
+    /// execution [`Ring::run_synchronous`] measures: `rounds + 1` rows.
     ///
     /// # Errors
     ///
@@ -87,14 +89,7 @@ impl SpaceTime {
             if ring.enabled_activations().is_empty() {
                 return Ok(());
             }
-            // One synchronous round: snapshot the incremental enabled set.
-            let mut acts = ring.enabled();
-            acts.sort_by_key(|a| a.agent.index());
-            for act in acts {
-                if ring.is_enabled(act) {
-                    ring.step(act);
-                }
-            }
+            ring.step_round();
             self.capture(ring);
         }
         if ring.enabled_activations().is_empty() {
@@ -201,6 +196,32 @@ mod tests {
         assert!(lines[3].contains('A'), "{s}");
         assert!(lines[3].contains('B'), "{s}");
         assert!(lines[3].contains('●'), "{s}");
+    }
+
+    /// The diagram plays the same rounds as `run_synchronous`, with and
+    /// without an edge-outage budget (which a synchronous round never
+    /// spends): one row per round plus the initial row, and the same
+    /// steps and metrics.
+    #[test]
+    fn rows_follow_run_synchronous_rounds() {
+        use ringdeploy_core::FullKnowledge;
+        use ringdeploy_sim::{FaultPlan, RunLimits};
+        for plan in [FaultPlan::none(), FaultPlan::none().with_edge_outages(3)] {
+            let init = InitialConfig::new(12, vec![0, 1, 2, 3])
+                .expect("valid")
+                .with_faults(plan);
+            let mut drawn = Ring::new(&init, |_| FullKnowledge::new(4));
+            let mut measured = Ring::new(&init, |_| FullKnowledge::new(4));
+            let mut st = SpaceTime::new(&drawn);
+            st.run_and_capture(&mut drawn, 1_000).expect("quiesces");
+            let out = measured
+                .run_synchronous(RunLimits::default())
+                .expect("quiesces");
+            let rounds = out.rounds.expect("synchronous run counts rounds");
+            assert_eq!(st.len() as u64, rounds + 1);
+            assert_eq!(drawn.steps(), measured.steps());
+            assert_eq!(drawn.metrics(), measured.metrics());
+        }
     }
 
     #[test]
