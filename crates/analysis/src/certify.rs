@@ -27,8 +27,8 @@
 //! * [`EvidenceTier::Adversarial`] — the same exact maximum computed
 //!   over the rotation quotient ([`SymmetryMode::Rotation`], the
 //!   default): identical value, a fraction of the work (see
-//!   [`ringdeploy_sim::adversary`] for the dominance-pruning soundness
-//!   argument).
+//!   [`ringdeploy_sim::adversary`] for why the remaining-value memo is
+//!   exact on the quotient).
 //!
 //! The two search tiers return the worst schedule as a witness
 //! replayable through [`Replay`](ringdeploy_sim::scheduler::Replay) —
@@ -144,9 +144,11 @@ pub struct SearchStats {
     /// Distinct configurations visited (rotation classes under the
     /// adversarial tier).
     pub distinct_states: usize,
-    /// State expansions, dominance re-expansions included.
+    /// State expansions. The search expands each distinct state once,
+    /// so a completed search has `expansions == distinct_states`.
     pub expansions: usize,
-    /// Children cut by fingerprint-with-cost dominance.
+    /// Children folded through the remaining-value memo: their state was
+    /// already solved, so its subtree was not walked again.
     pub dominance_prunes: u64,
     /// Longest schedule prefix explored.
     pub max_depth_seen: usize,
@@ -537,10 +539,9 @@ impl Certify {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::{BoundCertificate, DegradationVerdict, EvidenceTier, SearchStats};
-    use ringdeploy_json::{FromJson, Json, JsonError, ToJson};
+    use ringdeploy_json::{hex_u64, FromJson, Json, JsonError, ToJson};
 
     impl ToJson for DegradationVerdict {
         fn to_json(&self) -> Json {
@@ -620,11 +621,7 @@ mod json_impls {
                 ("witness", self.witness.to_json()),
                 (
                     "terminal_fingerprint",
-                    // Hex-encoded: fingerprints use all 64 bits, JSON
-                    // numbers only round-trip 53.
-                    self.terminal_fingerprint
-                        .map(|fp| format!("{fp:016x}"))
-                        .to_json(),
+                    self.terminal_fingerprint.map(hex_u64).to_json(),
                 ),
                 ("oracle_moves", self.oracle_moves.to_json()),
                 ("competitive_ratio", self.competitive_ratio.to_json()),
@@ -637,9 +634,7 @@ mod json_impls {
                 ),
                 (
                     "instance_fingerprint",
-                    self.instance_fingerprint
-                        .map(|fp| format!("{fp:016x}"))
-                        .to_json(),
+                    self.instance_fingerprint.map(hex_u64).to_json(),
                 ),
                 // Derived, emitted for human/CI consumption; ignored on
                 // decode.
@@ -656,16 +651,8 @@ mod json_impls {
 
     impl FromJson for BoundCertificate {
         fn from_json(json: &Json) -> Result<Self, JsonError> {
-            let decode_hex = |name: &str| -> Result<Option<u64>, JsonError> {
-                let hex: Option<String> = json.optional_field(name)?;
-                hex.map(|hex| {
-                    u64::from_str_radix(&hex, 16)
-                        .map_err(|_| JsonError::Decode(format!("bad {name} hex `{hex}`")))
-                })
-                .transpose()
-            };
-            let terminal_fingerprint = decode_hex("terminal_fingerprint")?;
-            let instance_fingerprint = decode_hex("instance_fingerprint")?;
+            let terminal_fingerprint = json.optional_hex_field("terminal_fingerprint")?;
+            let instance_fingerprint = json.optional_hex_field("instance_fingerprint")?;
             Ok(BoundCertificate {
                 algorithm: json.field("algorithm")?,
                 objective: json.field("objective")?,

@@ -74,7 +74,6 @@ pub struct Cell {
     pub memory: Summary,
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::Measurement;
     use ringdeploy_json::{FromJson, Json, JsonError, ToJson};

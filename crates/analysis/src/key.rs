@@ -158,7 +158,6 @@ impl InstanceKey {
     }
 }
 
-#[cfg(feature = "serde")]
 mod canonical {
     use super::InstanceKey;
     use ringdeploy_json::ToJson;
@@ -194,7 +193,6 @@ mod canonical {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::{InstanceKey, JobKind};
     use ringdeploy_json::{FromJson, Json, JsonError, ToJson};
@@ -300,7 +298,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "serde")]
     mod serde {
         use super::*;
         use ringdeploy_json::{FromJson, Json, ToJson};

@@ -447,7 +447,6 @@ pub fn summarize(rows: &[SweepRow]) -> Vec<Cell> {
         .collect()
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::{SweepSchedule, Workload};
     use ringdeploy_core::Schedule;

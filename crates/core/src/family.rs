@@ -18,6 +18,11 @@
 //!   would pay, for competitive ratios), and
 //! * its **canonical name** (the stable CLI/wire identity).
 //!
+//! The first two are stated once, in [`ProblemFamily::rules`], as a
+//! boxed [`FamilyRules`] value built by [`rules`]. The run driver, the
+//! explorer and the adversary all go through that one value, so a run
+//! and an exhaustive exploration judge terminals by the same check.
+//!
 //! Layers above `core` hold a [`Family`] handle — a `Copy` pointer to a
 //! `'static` family — and call trait methods; none of them matches on
 //! the family again. The legacy name [`Algorithm`] survives as a type
@@ -82,7 +87,6 @@ pub(crate) const FORMULA_K_LOG_N: &str = "c*k*log2(n)";
 pub(crate) const FORMULA_LOG_N: &str = "c*log2(n)";
 pub(crate) const FORMULA_K_OVER_L_LOG: &str = "c*(k/l)*log2(n/l)";
 pub(crate) const FORMULA_GN: &str = "c*g*n";
-#[cfg(feature = "serde")]
 const BOUND_FORMULAS: [&str; 6] = [
     FORMULA_KN,
     FORMULA_KN_OVER_L,
@@ -152,51 +156,103 @@ pub fn explore_terminal_ok(check: &DeploymentCheck) -> bool {
     check.is_satisfied() || check.is_crash_degraded()
 }
 
-/// Runs the exhaustive explorer for a family's behavior + terminal
-/// predicate — the generic half every [`ProblemFamily::explore`] impl
-/// delegates to.
-///
-/// # Errors
-///
-/// The type-erased [`ExploreErrorKind`] of the exploration failure.
-pub fn explore_family<B>(
-    explorer: &Explorer,
-    init: &InitialConfig,
-    make: impl Fn() -> B,
-    engine: ExploreEngine,
-    terminal_ok: impl Fn(&Ring<B>) -> bool,
-) -> Result<ExploreReport, ExploreErrorKind>
-where
-    B: Behavior + Clone + Hash,
-    B::Message: Clone + Hash,
-{
-    let ring = Ring::new(init, |_| make());
-    let result = match engine {
-        ExploreEngine::Serial => explorer.run(&ring, terminal_ok),
-        ExploreEngine::Reference => explorer.run_serial_reference(&ring, terminal_ok),
-    };
-    result.map_err(|e| e.kind())
+/// One family's behavior constructor and success check, bound to an
+/// instance and erased behind an object-safe surface: what
+/// [`ProblemFamily::rules`] returns, and what the provided
+/// [`deploy`](ProblemFamily::deploy), [`explore`](ProblemFamily::explore)
+/// and [`worst_case`](ProblemFamily::worst_case) run. Build one with
+/// [`rules`].
+pub trait FamilyRules {
+    /// See [`ProblemFamily::deploy`].
+    ///
+    /// # Errors
+    ///
+    /// See [`DeployError`].
+    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError>;
+
+    /// See [`ProblemFamily::explore`].
+    ///
+    /// # Errors
+    ///
+    /// The type-erased [`ExploreErrorKind`] of the exploration failure.
+    fn explore(
+        &self,
+        init: &InitialConfig,
+        explorer: &Explorer,
+        engine: ExploreEngine,
+    ) -> Result<ExploreReport, ExploreErrorKind>;
+
+    /// See [`ProblemFamily::worst_case`].
+    ///
+    /// # Errors
+    ///
+    /// See [`AdversaryError`].
+    fn worst_case(
+        &self,
+        init: &InitialConfig,
+        adversary: &Adversary,
+        objective: Objective,
+    ) -> Result<WorstCase, AdversaryError>;
 }
 
-/// Runs the branch-and-bound worst-case search for a family's behavior —
-/// the generic half every [`ProblemFamily::worst_case`] impl delegates
-/// to.
-///
-/// # Errors
-///
-/// See [`AdversaryError`].
-pub fn worst_case_family<B>(
-    adversary: &Adversary,
-    init: &InitialConfig,
-    make: impl Fn() -> B,
-    objective: Objective,
-) -> Result<WorstCase, AdversaryError>
+/// The [`FamilyRules`] of a behavior constructor `make` and a success
+/// check `check`. A run reports `check` of its terminal configuration,
+/// and the explorer accepts a terminal iff [`explore_terminal_ok`] holds
+/// for the same `check`, so the two cannot judge terminals differently.
+pub fn rules<B>(
+    make: impl Fn() -> B + 'static,
+    check: impl Fn(&Ring<B>) -> DeploymentCheck + 'static,
+) -> Box<dyn FamilyRules>
 where
-    B: Behavior + Clone + Hash,
+    B: Behavior + Clone + Hash + 'static,
     B::Message: Clone + Hash,
 {
-    let ring = Ring::new(init, |_| make());
-    adversary.run(&ring, objective)
+    struct Rules<M, C> {
+        make: M,
+        check: C,
+    }
+
+    impl<B, M, C> FamilyRules for Rules<M, C>
+    where
+        B: Behavior + Clone + Hash,
+        B::Message: Clone + Hash,
+        M: Fn() -> B,
+        C: Fn(&Ring<B>) -> DeploymentCheck,
+    {
+        fn deploy(
+            &self,
+            driver: Driver<'_>,
+            mode: DriveMode<'_>,
+        ) -> Result<DeployReport, DeployError> {
+            driver.run_behavior(mode, |_| (self.make)(), &self.check)
+        }
+
+        fn explore(
+            &self,
+            init: &InitialConfig,
+            explorer: &Explorer,
+            engine: ExploreEngine,
+        ) -> Result<ExploreReport, ExploreErrorKind> {
+            let ring = Ring::new(init, |_| (self.make)());
+            let terminal_ok = |r: &Ring<B>| explore_terminal_ok(&(self.check)(r));
+            match engine {
+                ExploreEngine::Serial => explorer.run(&ring, terminal_ok),
+                ExploreEngine::Reference => explorer.run_serial_reference(&ring, terminal_ok),
+            }
+            .map_err(|e| e.kind())
+        }
+
+        fn worst_case(
+            &self,
+            init: &InitialConfig,
+            adversary: &Adversary,
+            objective: Objective,
+        ) -> Result<WorstCase, AdversaryError> {
+            adversary.run(&Ring::new(init, |_| (self.make)()), objective)
+        }
+    }
+
+    Box::new(Rules { make, check })
 }
 
 /// One problem family's complete contract with the verification stack.
@@ -204,21 +260,19 @@ where
 /// Implementations are `'static` values registered behind a [`Family`]
 /// handle. Every method is instance-shaped rather than behavior-shaped
 /// on purpose: the behavior type is an internal detail each family
-/// erases inside [`deploy`](ProblemFamily::deploy) /
-/// [`explore`](ProblemFamily::explore) /
-/// [`worst_case`](ProblemFamily::worst_case) (via [`explore_family`] and
-/// [`worst_case_family`]), which is what keeps the trait object-safe and
-/// the layers above `core` free of per-family matches.
+/// names once, in [`rules`](ProblemFamily::rules), and erases there
+/// behind [`FamilyRules`]. That keeps the trait object-safe and the
+/// layers above `core` free of per-family matches.
 ///
 /// # Invariants the layers above assume
 ///
 /// * [`name`](ProblemFamily::name) is unique, stable, and shell-safe —
 ///   it is the wire identity in JSON reports and service cache keys.
-/// * [`deploy`](ProblemFamily::deploy)'s check and
-///   [`explore`](ProblemFamily::explore)'s terminal predicate accept
-///   exactly the same terminal configurations, and both are
+/// * The success check of [`rules`](ProblemFamily::rules) is
 ///   rotation-invariant (required for the explorer's and adversary's
-///   rotation quotient to be sound).
+///   rotation quotient to be sound). [`deploy`](ProblemFamily::deploy)
+///   and [`explore`](ProblemFamily::explore) both judge terminals by
+///   it, so they accept the same ones by construction.
 /// * [`paper_bound`](ProblemFamily::paper_bound) dominates the true
 ///   adversarial worst case on every instance the CI tiers certify.
 /// * [`oracle_moves`](ProblemFamily::oracle_moves) never exceeds the
@@ -232,15 +286,20 @@ pub trait ProblemFamily: Send + Sync {
     /// suspending (Definition 2).
     fn halts(&self) -> bool;
 
+    /// The family's behavior constructor and success check for `init`
+    /// (see [`rules`]).
+    fn rules(&self, init: &InitialConfig) -> Box<dyn FamilyRules>;
+
     /// Runs one instance to quiescence and verifies the outcome,
-    /// producing the standard [`DeployReport`]. Implementations
-    /// construct their behavior and success check and delegate to
+    /// producing the standard [`DeployReport`] through
     /// [`Driver::run_behavior`].
     ///
     /// # Errors
     ///
     /// See [`DeployError`].
-    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError>;
+    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError> {
+        self.rules(driver.init()).deploy(driver, mode)
+    }
 
     /// Exhaustively explores every schedule of one instance with the
     /// bounded model checker (`engine` selects the clone-free production
@@ -256,7 +315,9 @@ pub trait ProblemFamily: Send + Sync {
         init: &InitialConfig,
         explorer: &Explorer,
         engine: ExploreEngine,
-    ) -> Result<ExploreReport, ExploreErrorKind>;
+    ) -> Result<ExploreReport, ExploreErrorKind> {
+        self.rules(init).explore(init, explorer, engine)
+    }
 
     /// Finds the exact adversarial worst case of `objective` on one
     /// instance via branch-and-bound over the reversible engine.
@@ -269,7 +330,9 @@ pub trait ProblemFamily: Send + Sync {
         init: &InitialConfig,
         adversary: &Adversary,
         objective: Objective,
-    ) -> Result<WorstCase, AdversaryError>;
+    ) -> Result<WorstCase, AdversaryError> {
+        self.rules(init).worst_case(init, adversary, objective)
+    }
 
     /// The recorded paper bound for `objective` at an `(n, k, l)`
     /// instance (`l` = symmetry degree of the initial configuration).
@@ -408,39 +471,9 @@ impl ProblemFamily for UniformFullKnowledge {
         true
     }
 
-    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError> {
-        let k = driver.init().agent_count();
-        driver.run_behavior(
-            mode,
-            |_| FullKnowledge::new(k),
-            satisfies_halting_deployment,
-        )
-    }
-
-    fn explore(
-        &self,
-        init: &InitialConfig,
-        explorer: &Explorer,
-        engine: ExploreEngine,
-    ) -> Result<ExploreReport, ExploreErrorKind> {
+    fn rules(&self, init: &InitialConfig) -> Box<dyn FamilyRules> {
         let k = init.agent_count();
-        explore_family(
-            explorer,
-            init,
-            || FullKnowledge::new(k),
-            engine,
-            |r| explore_terminal_ok(&satisfies_halting_deployment(r)),
-        )
-    }
-
-    fn worst_case(
-        &self,
-        init: &InitialConfig,
-        adversary: &Adversary,
-        objective: Objective,
-    ) -> Result<WorstCase, AdversaryError> {
-        let k = init.agent_count();
-        worst_case_family(adversary, init, || FullKnowledge::new(k), objective)
+        rules(move || FullKnowledge::new(k), satisfies_halting_deployment)
     }
 
     fn paper_bound(&self, objective: Objective, n: usize, k: usize, _l: usize) -> PaperBound {
@@ -473,35 +506,9 @@ impl ProblemFamily for UniformLogSpace {
         true
     }
 
-    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError> {
-        let k = driver.init().agent_count();
-        driver.run_behavior(mode, |_| LogSpace::new(k), satisfies_halting_deployment)
-    }
-
-    fn explore(
-        &self,
-        init: &InitialConfig,
-        explorer: &Explorer,
-        engine: ExploreEngine,
-    ) -> Result<ExploreReport, ExploreErrorKind> {
+    fn rules(&self, init: &InitialConfig) -> Box<dyn FamilyRules> {
         let k = init.agent_count();
-        explore_family(
-            explorer,
-            init,
-            || LogSpace::new(k),
-            engine,
-            |r| explore_terminal_ok(&satisfies_halting_deployment(r)),
-        )
-    }
-
-    fn worst_case(
-        &self,
-        init: &InitialConfig,
-        adversary: &Adversary,
-        objective: Objective,
-    ) -> Result<WorstCase, AdversaryError> {
-        let k = init.agent_count();
-        worst_case_family(adversary, init, || LogSpace::new(k), objective)
+        rules(move || LogSpace::new(k), satisfies_halting_deployment)
     }
 
     fn paper_bound(&self, objective: Objective, n: usize, k: usize, _l: usize) -> PaperBound {
@@ -534,28 +541,8 @@ impl ProblemFamily for UniformRelaxed {
         false
     }
 
-    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError> {
-        driver.run_behavior(mode, |_| NoKnowledge::new(), satisfies_suspended_deployment)
-    }
-
-    fn explore(
-        &self,
-        init: &InitialConfig,
-        explorer: &Explorer,
-        engine: ExploreEngine,
-    ) -> Result<ExploreReport, ExploreErrorKind> {
-        explore_family(explorer, init, NoKnowledge::new, engine, |r| {
-            explore_terminal_ok(&satisfies_suspended_deployment(r))
-        })
-    }
-
-    fn worst_case(
-        &self,
-        init: &InitialConfig,
-        adversary: &Adversary,
-        objective: Objective,
-    ) -> Result<WorstCase, AdversaryError> {
-        worst_case_family(adversary, init, NoKnowledge::new, objective)
+    fn rules(&self, _init: &InitialConfig) -> Box<dyn FamilyRules> {
+        rules(NoKnowledge::new, satisfies_suspended_deployment)
     }
 
     fn paper_bound(&self, objective: Objective, n: usize, k: usize, l: usize) -> PaperBound {
@@ -600,41 +587,12 @@ impl ProblemFamily for PartialGatheringFamily {
         true
     }
 
-    fn deploy(&self, driver: Driver<'_>, mode: DriveMode<'_>) -> Result<DeployReport, DeployError> {
-        let k = driver.init().agent_count();
-        let g = self.g;
-        driver.run_behavior(
-            mode,
-            |_| PartialGathering::new(k),
+    fn rules(&self, init: &InitialConfig) -> Box<dyn FamilyRules> {
+        let (k, g) = (init.agent_count(), self.g);
+        rules(
+            move || PartialGathering::new(k),
             move |ring| satisfies_partial_gathering(ring, g),
         )
-    }
-
-    fn explore(
-        &self,
-        init: &InitialConfig,
-        explorer: &Explorer,
-        engine: ExploreEngine,
-    ) -> Result<ExploreReport, ExploreErrorKind> {
-        let k = init.agent_count();
-        let g = self.g;
-        explore_family(
-            explorer,
-            init,
-            || PartialGathering::new(k),
-            engine,
-            move |r| explore_terminal_ok(&satisfies_partial_gathering(r, g)),
-        )
-    }
-
-    fn worst_case(
-        &self,
-        init: &InitialConfig,
-        adversary: &Adversary,
-        objective: Objective,
-    ) -> Result<WorstCase, AdversaryError> {
-        let k = init.agent_count();
-        worst_case_family(adversary, init, || PartialGathering::new(k), objective)
     }
 
     fn paper_bound(&self, objective: Objective, n: usize, k: usize, _l: usize) -> PaperBound {
@@ -658,7 +616,6 @@ impl ProblemFamily for PartialGatheringFamily {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::{Family, PaperBound, BOUND_FORMULAS};
     use ringdeploy_json::{FromJson, Json, JsonError, ToJson};

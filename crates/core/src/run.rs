@@ -186,20 +186,9 @@ impl DeployReport {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::{DeployReport, PhaseMetric, Schedule};
-    use ringdeploy_json::{FromJson, Json, JsonError, ToJson};
-
-    /// Decodes an optional hex-encoded u64 fingerprint field.
-    fn decode_hex_fingerprint(json: &Json, name: &str) -> Result<Option<u64>, JsonError> {
-        let hex: Option<String> = json.optional_field(name)?;
-        hex.map(|hex| {
-            u64::from_str_radix(&hex, 16)
-                .map_err(|_| JsonError::Decode(format!("bad {name} hex `{hex}`")))
-        })
-        .transpose()
-    }
+    use ringdeploy_json::{hex_u64, FromJson, Json, JsonError, ToJson};
 
     impl ToJson for Schedule {
         fn to_json(&self) -> Json {
@@ -269,11 +258,7 @@ mod json_impls {
                 ("phases", self.phases.to_json()),
                 (
                     "instance_fingerprint",
-                    // Hex-encoded: fingerprints use all 64 bits, JSON
-                    // numbers only round-trip 53.
-                    self.instance_fingerprint
-                        .map(|fp| format!("{fp:016x}"))
-                        .to_json(),
+                    self.instance_fingerprint.map(hex_u64).to_json(),
                 ),
             ])
         }
@@ -294,7 +279,7 @@ mod json_impls {
                 metrics: json.field("metrics")?,
                 phases: json.field("phases")?,
                 trace: None,
-                instance_fingerprint: decode_hex_fingerprint(json, "instance_fingerprint")?,
+                instance_fingerprint: json.optional_hex_field("instance_fingerprint")?,
             })
         }
     }

@@ -1,10 +1,12 @@
 //! # ringdeploy-json — zero-dependency JSON for report serialization
 //!
-//! The build environment of this repository cannot reach crates.io, so the
-//! workspace's `serde` feature is backed by this small crate instead of
+//! The build environment of this repository cannot reach crates.io, so
+//! every JSON encoding in the workspace (reports, `--json` output and the
+//! `ringdeployd` wire protocol) is backed by this small crate instead of
 //! the real `serde`/`serde_json` pair: a [`Json`] value type, a strict
-//! parser ([`Json::parse`]), a compact printer (`Display`), and the
-//! [`ToJson`] / [`FromJson`] traits that reports implement by hand.
+//! parser ([`Json::parse`]), a compact printer (`Display`), the
+//! [`ToJson`] / [`FromJson`] traits that reports implement by hand, and
+//! one hex codec for 64-bit fingerprints ([`hex_u64`]).
 //!
 //! The encoding conventions mirror what `#[derive(Serialize)]` would
 //! produce: structs become objects keyed by field name, unit enum variants
@@ -139,6 +141,29 @@ impl Json {
                 .map(Some)
                 .map_err(|e| JsonError::Decode(format!("in field `{name}`: {e}"))),
         }
+    }
+
+    /// Decodes a 64-bit field written by [`hex_u64`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Json::field`], or `bad {name} hex` when the string is not
+    /// hexadecimal.
+    pub fn hex_field(&self, name: &str) -> Result<u64, JsonError> {
+        parse_hex(name, &self.field::<String>(name)?)
+    }
+
+    /// Decodes an *optional* 64-bit field written by [`hex_u64`]: `None`
+    /// when absent or `null`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Json::optional_field`], or `bad {name} hex` when the string
+    /// is not hexadecimal.
+    pub fn optional_hex_field(&self, name: &str) -> Result<Option<u64>, JsonError> {
+        self.optional_field::<String>(name)?
+            .map(|hex| parse_hex(name, &hex))
+            .transpose()
     }
 
     /// The string payload, if this is a string.
@@ -475,6 +500,17 @@ impl Parser<'_> {
             }
         }
     }
+}
+
+/// Encodes a 64-bit value, such as a fingerprint, as 16 lower-case hex
+/// digits: fingerprints use all 64 bits, and JSON numbers round-trip only
+/// 53. [`Json::hex_field`] and [`Json::optional_hex_field`] decode it.
+pub fn hex_u64(value: u64) -> String {
+    format!("{value:016x}")
+}
+
+fn parse_hex(name: &str, hex: &str) -> Result<u64, JsonError> {
+    u64::from_str_radix(hex, 16).map_err(|_| JsonError::Decode(format!("bad {name} hex `{hex}`")))
 }
 
 /// Conversion into a [`Json`] value (the `Serialize` analogue).

@@ -14,15 +14,18 @@
 //!
 //! # The search
 //!
-//! A depth-first branch-and-bound over the configuration graph, built on
-//! the same machinery as the explorer's serial engine:
+//! A depth-first branch-and-bound over the configuration graph. It has
+//! no loop of its own: [`Adversary::run`] hands the explorer's walker
+//! (the one reversible DFS in [`crate::explore`]) the gain of a step,
+//! how gains combine and when to skip a child, then rebuilds the witness
+//! from the walker's visited map.
 //!
 //! * children are generated in place with the reversible
 //!   [`Ring::apply`]/[`Ring::undo`] pair (no per-child clone), the
 //!   enabled slices of all live states share one activation arena, and
-//!   canonical fingerprints are maintained incrementally (the explorer's
-//!   `FingerprintCache`: ≤ 2 node symbols re-derived per step);
-//! * the visited map memoises, per fingerprint, the exact
+//!   canonical fingerprints are maintained incrementally (≤ 2 node
+//!   symbols re-derived per step);
+//! * the walker's one visited map memoises, per fingerprint, the exact
 //!   **maximum-remaining value** `rem(C)`: the most the objective can
 //!   still gain over any fair schedule from `C` to quiescence,
 //!   computed bottom-up when the DFS pops the state. A child whose
@@ -101,13 +104,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::agent::Behavior;
 use crate::engine::{Ring, StepUndo};
 use crate::error::SimError;
-use crate::explore::{ExploreLimits, FingerprintCache, FpBuildHasher, SymbolPatch, SymmetryMode};
+use crate::explore::{ExploreErrorKind, ExploreLimits, Search, SymmetryMode, Walker};
 use crate::scheduler::Activation;
 
 /// The quantity the adversarial schedule maximises — the paper's three
@@ -152,11 +154,20 @@ impl Objective {
 
     /// Whether the objective accumulates additively along a schedule
     /// (`false` for the peak-watermark objective, which combines by
-    /// `max`). Both shapes are monotone in the accumulated value, which
-    /// is what makes dominance pruning sound — see the [module
-    /// docs](self).
+    /// `max`): the `combine` of the remaining-value recurrence in the
+    /// [module docs](self).
     pub fn is_additive(self) -> bool {
         !matches!(self, Objective::PeakMemoryBits)
+    }
+
+    /// `combine(gain, rest)` of the module docs: how one step's gain
+    /// merges with the remaining value of the state it leads to.
+    fn combine(self, gain: u64, rest: u64) -> u64 {
+        if self.is_additive() {
+            gain + rest
+        } else {
+            gain.max(rest)
+        }
     }
 }
 
@@ -244,50 +255,51 @@ impl std::fmt::Display for AdversaryError {
 
 impl std::error::Error for AdversaryError {}
 
-/// Visited-map entry: a state still being solved on the current DFS
-/// path (a re-encounter is a cycle) or a finished state carrying its
-/// exact maximum-remaining objective value.
-enum Entry {
-    /// On the current DFS path; its remaining value is in flight.
-    OnPath,
-    /// Solved: the exact maximum the objective can still gain from this
-    /// state to quiescence.
-    Done(u64),
-}
-
-/// `combine(gain, rest)` of the module docs: how one step's gain merges
-/// with the remaining value of the state it leads to.
-fn combine(objective: Objective, gain: u64, rest: u64) -> u64 {
-    if objective.is_additive() {
-        gain + rest
-    } else {
-        gain.max(rest)
-    }
-}
-
-/// `gain(a, C)` of the module docs: the objective contribution of `act`,
-/// read off its undo record and the ring the step left behind. The DFS's
-/// Bellman values and the witness descent both call it, so the two cannot
-/// drift apart.
-fn gain<B: Behavior>(
+/// The adversary's side of the [`Walker`]: the gain and `combine` of the
+/// module docs for one objective, and the move-bound prune when armed.
+/// The Bellman values and the witness descent both ask it, so the two
+/// cannot drift apart.
+struct Worst {
     objective: Objective,
-    ring: &Ring<B>,
-    act: Activation,
-    undo: &StepUndo<B>,
-) -> u64 {
-    match objective {
-        Objective::TotalMoves => u64::from(undo.moved_to(ring.ring_size()).is_some()),
-        Objective::TotalActivations => 1,
-        // The acting agent's post-step memory observation: the only way
-        // the watermark can rise on this step. Fault moves have no acting
-        // agent and observe nothing.
-        Objective::PeakMemoryBits => {
-            if act.is_fault() {
-                0
-            } else {
-                ring.behavior(act.agent).memory_bits() as u64
+    bound_prune: bool,
+}
+
+impl<B: Behavior> Search<B> for Worst {
+    /// `gain(a, C)` of the module docs, read off the step's undo record
+    /// and the ring it left behind.
+    fn gain(&self, ring: &Ring<B>, act: Activation, undo: &StepUndo<B>) -> u64 {
+        match self.objective {
+            Objective::TotalMoves => u64::from(undo.moved_to(ring.ring_size()).is_some()),
+            Objective::TotalActivations => 1,
+            // The acting agent's post-step memory observation: the only
+            // way the watermark can rise on this step. Fault moves have
+            // no acting agent and observe nothing.
+            Objective::PeakMemoryBits => {
+                if act.is_fault() {
+                    0
+                } else {
+                    ring.behavior(act.agent).memory_bits() as u64
+                }
             }
         }
+    }
+
+    fn combine(&self, gain: u64, rest: u64) -> u64 {
+        self.objective.combine(gain, rest)
+    }
+
+    /// Admissible prune: even if every remaining move the child's agents
+    /// can make counts, the subtree cannot beat a value a solved sibling
+    /// already attains. `best > 0` certifies that such a sibling exists
+    /// (`best` starts at 0 and only solved children raise it); the
+    /// witness descent relies on it when it passes the never-walked
+    /// child by.
+    fn skip(&self, ring: &Ring<B>, gain: u64, best: u64) -> bool {
+        self.bound_prune
+            && best > 0
+            && ring
+                .max_remaining_moves()
+                .is_some_and(|ub| self.objective.combine(gain, ub) <= best)
     }
 }
 
@@ -308,8 +320,8 @@ impl Default for Adversary {
 
 impl Adversary {
     /// Default engine: default [`ExploreLimits`] (the `max_states` budget
-    /// caps *expansions*, re-expansions included) and
-    /// [`SymmetryMode::Rotation`].
+    /// caps distinct states, each expanded once, exactly as in the
+    /// explorer) and [`SymmetryMode::Rotation`].
     pub fn new() -> Self {
         Adversary {
             limits: ExploreLimits::default(),
@@ -358,12 +370,9 @@ impl Adversary {
         B: Behavior + Clone + Hash,
         B::Message: Clone + Hash,
     {
-        let limits = self.limits;
-        let mut cur = ring.clone_for_exploration();
-        let mut cache = FingerprintCache::new(self.symmetry, &cur);
-        let root_fp = cache.fingerprint(&cur);
+        let mut walker = Walker::new(ring, self.symmetry);
         let root_acc = match objective {
-            Objective::PeakMemoryBits => cur.metrics().peak_memory_bits() as u64,
+            Objective::PeakMemoryBits => walker.ring.metrics().peak_memory_bits() as u64,
             _ => 0,
         };
         // The move-bound prune is admissible only when the per-agent
@@ -372,199 +381,52 @@ impl Adversary {
         // algorithm's termination condition and make it walk longer), so
         // the prune arms only for the moves objective on fault-free
         // plans. Other objectives have no per-agent bound at all.
-        let bound_prune =
-            self.bound_prune && objective == Objective::TotalMoves && cur.fault_plan().is_empty();
-
-        let mut visited: HashMap<u64, Entry, FpBuildHasher> = HashMap::default();
-        visited.insert(root_fp, Entry::OnPath);
-        let mut worst = WorstCase {
+        let mut worst = Worst {
             objective,
-            value: 0,
-            witness: Vec::new(),
-            terminal_fingerprint: root_fp,
-            distinct_states: 1,
-            expansions: 1,
-            dominance_prunes: 0,
-            bound_prunes: 0,
-            terminal_hits: 0,
-            max_depth_seen: 0,
+            bound_prune: self.bound_prune
+                && objective == Objective::TotalMoves
+                && walker.ring.fault_plan().is_empty(),
         };
-        if cur.enabled_activations().is_empty() {
-            // Quiescent start: the empty schedule is the only (and worst)
-            // schedule.
-            worst.value = root_acc;
-            worst.terminal_hits = 1;
-            return Ok(worst);
-        }
-
-        /// One live state on the DFS path — the explorer's frame plus
-        /// the entering step's gain and the running Bellman maximum over
-        /// the children solved so far.
-        struct Frame<B: Behavior> {
-            fp: u64,
-            /// Objective contribution of the activation that entered
-            /// this state (unused on the root frame).
-            gain: u64,
-            /// `max_a combine(gain(a), rem(child_a))` over the children
-            /// expanded so far — `rem` of this state once all are done.
-            best_rem: u64,
-            acts_start: usize,
-            next: usize,
-            undo: Option<(StepUndo<B>, SymbolPatch)>,
-        }
-
-        let mut arena: Vec<Activation> = Vec::new();
-        arena.extend_from_slice(cur.enabled_activations());
-        let mut stack: Vec<Frame<B>> = vec![Frame {
-            fp: root_fp,
-            gain: 0,
-            best_rem: 0,
-            acts_start: 0,
-            next: 0,
-            undo: None,
-        }];
-        let mut root_rem = 0u64;
-
-        while let Some(top) = stack.last_mut() {
-            if top.acts_start + top.next >= arena.len() {
-                // All children solved: this state's remaining value is
-                // final. Record it and fold it into the parent.
-                let frame = stack.pop().expect("stack is non-empty");
-                *visited.get_mut(&frame.fp).expect("path state is visited") =
-                    Entry::Done(frame.best_rem);
-                arena.truncate(frame.acts_start);
-                if let Some((undo, patch)) = frame.undo {
-                    cache.revert(patch);
-                    cur.undo(undo);
-                    let parent = stack.last_mut().expect("non-root frames have parents");
-                    parent.best_rem =
-                        parent
-                            .best_rem
-                            .max(combine(objective, frame.gain, frame.best_rem));
-                } else {
-                    root_rem = frame.best_rem;
-                }
-                continue;
+        let root_rem = walker.walk(self.limits, &mut worst).map_err(|e| match e {
+            ExploreErrorKind::CycleDetected { depth } => AdversaryError::CycleDetected { depth },
+            ExploreErrorKind::LimitExceeded(e) => AdversaryError::LimitExceeded(e),
+            ExploreErrorKind::PredicateViolated { .. } => {
+                unreachable!("the adversary accepts every terminal")
             }
-            let act = arena[top.acts_start + top.next];
-            top.next += 1;
-            let depth = stack.len();
-            worst.max_depth_seen = worst.max_depth_seen.max(depth);
-            if depth > limits.max_depth {
-                return Err(AdversaryError::LimitExceeded(SimError::StepLimitExceeded {
-                    limit: limits.max_depth as u64,
-                }));
-            }
-            let undo = cur.apply(act);
-            let patch = cache.patch(&cur, &undo);
-            let fp = cache.fingerprint(&cur);
-            let gain = gain(objective, &cur, act, &undo);
-            let terminal = cur.enabled_activations().is_empty();
-            let solved = match visited.entry(fp) {
-                std::collections::hash_map::Entry::Occupied(seen) => match *seen.get() {
-                    // Re-encountering a path state closes a concrete
-                    // cycle (Rotation mode: a quotient cycle, which
-                    // lifts to a concrete one — see crate::canonical).
-                    Entry::OnPath => return Err(AdversaryError::CycleDetected { depth }),
-                    // Memo hit: the subtree is already solved; fold its
-                    // exact remaining value in O(1).
-                    Entry::Done(rem) => {
-                        worst.dominance_prunes += 1;
-                        if terminal {
-                            worst.terminal_hits += 1;
-                        }
-                        Some(rem)
-                    }
-                },
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    if terminal {
-                        // Terminals are solved on sight: nothing remains.
-                        worst.distinct_states += 1;
-                        worst.expansions += 1;
-                        worst.terminal_hits += 1;
-                        slot.insert(Entry::Done(0));
-                        Some(0)
-                    } else if bound_prune
-                        && cur.max_remaining_moves().is_some_and(|ub| {
-                            let parent = stack.last().expect("child has a parent frame");
-                            // `best_rem > 0` certifies the bound was
-                            // *attained* by an already-memoised sibling
-                            // (it starts at 0 and only solved children
-                            // raise it); the witness descent relies on
-                            // that attainer existing when it skips this
-                            // never-memoised child.
-                            parent.best_rem > 0 && combine(objective, gain, ub) <= parent.best_rem
-                        })
-                    {
-                        // Admissible prune: even if every remaining move
-                        // the child's agents can make counts, the subtree
-                        // cannot beat a value a solved sibling already
-                        // achieves. The child is *not* entered into the
-                        // visited map — another path may still reach and
-                        // solve it exactly.
-                        worst.bound_prunes += 1;
-                        cache.revert(patch);
-                        cur.undo(undo);
-                        continue;
-                    } else {
-                        worst.distinct_states += 1;
-                        worst.expansions += 1;
-                        slot.insert(Entry::OnPath);
-                        None
-                    }
-                }
-            };
-            if worst.expansions > limits.max_states {
-                return Err(AdversaryError::LimitExceeded(SimError::StepLimitExceeded {
-                    limit: limits.max_states as u64,
-                }));
-            }
-            if let Some(rem) = solved {
-                cache.revert(patch);
-                cur.undo(undo);
-                let parent = stack.last_mut().expect("child has a parent frame");
-                parent.best_rem = parent.best_rem.max(combine(objective, gain, rem));
-                continue;
-            }
-            let acts_start = arena.len();
-            arena.extend_from_slice(cur.enabled_activations());
-            stack.push(Frame {
-                fp,
-                gain,
-                best_rem: 0,
-                acts_start,
-                next: 0,
-                undo: Some((undo, patch)),
-            });
-        }
-        worst.value = combine(objective, root_acc, root_rem);
+        })?;
 
-        // Witness reconstruction: `cur` is back at the root (the final
-        // pop undid every step), and every reachable state's remaining
-        // value is memoised. Descend greedily along children attaining
-        // the Bellman maximum; the path is an enabled-activation
-        // sequence by construction, hence replayable.
+        // Witness reconstruction: the walk left the ring at the root and
+        // the remaining value of every reachable state it did not skip
+        // in the map. Descend greedily along children attaining the
+        // Bellman maximum; the path is an enabled-activation sequence by
+        // construction, hence replayable.
+        let Walker {
+            ring: cur,
+            cache,
+            visited,
+            stats,
+        } = &mut walker;
+        let mut witness = Vec::new();
         let mut need = root_rem;
-        loop {
+        let terminal_fingerprint = loop {
             if cur.enabled_activations().is_empty() {
-                worst.terminal_fingerprint = cache.fingerprint(&cur);
-                break;
+                break cache.fingerprint(cur);
             }
             let acts: Vec<Activation> = cur.enabled_activations().to_vec();
             let mut advanced = false;
             for act in acts {
                 let undo = cur.apply(act);
-                let patch = cache.patch(&cur, &undo);
-                let fp = cache.fingerprint(&cur);
-                let gain = gain(objective, &cur, act, &undo);
+                let patch = cache.patch(cur, &undo);
+                let fp = cache.fingerprint(cur);
+                let gain = worst.gain(cur, act, &undo);
                 // A child absent from the map was bound-pruned (never
-                // expanded): the prune certified a solved sibling
-                // attains at least its best possible contribution, so
-                // skipping it cannot lose the Bellman optimum.
-                if let Some(Entry::Done(rem)) = visited.get(&fp) {
-                    if combine(objective, gain, *rem) == need {
-                        worst.witness.push(act);
-                        need = *rem;
+                // walked): the prune certified a solved sibling attains
+                // at least its best possible contribution, so skipping
+                // it cannot lose the Bellman optimum.
+                if let Some(&rem) = visited.get(&fp) {
+                    if objective.combine(gain, rem) == need {
+                        witness.push(act);
+                        need = rem;
                         advanced = true;
                         break;
                     }
@@ -576,15 +438,25 @@ impl Adversary {
                 advanced,
                 "witness descent must follow the Bellman optimum (rem is exact)"
             );
-        }
-        Ok(worst)
+        };
+        Ok(WorstCase {
+            objective,
+            value: objective.combine(root_acc, root_rem),
+            witness,
+            terminal_fingerprint,
+            distinct_states: stats.states,
+            expansions: stats.states,
+            dominance_prunes: stats.memo_hits,
+            bound_prunes: stats.skipped,
+            terminal_hits: stats.terminal_hits,
+            max_depth_seen: stats.max_depth_seen,
+        })
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::{Objective, WorstCase};
-    use ringdeploy_json::{FromJson, Json, JsonError, ToJson};
+    use ringdeploy_json::{hex_u64, FromJson, Json, JsonError, ToJson};
 
     impl ToJson for Objective {
         fn to_json(&self) -> Json {
@@ -611,9 +483,7 @@ mod json_impls {
                 ("witness", self.witness.to_json()),
                 (
                     "terminal_fingerprint",
-                    // Fingerprints use all 64 bits; JSON numbers only
-                    // round-trip 53. Hex-string encoding keeps them exact.
-                    format!("{:016x}", self.terminal_fingerprint).to_json(),
+                    hex_u64(self.terminal_fingerprint).to_json(),
                 ),
                 ("distinct_states", self.distinct_states.to_json()),
                 ("expansions", self.expansions.to_json()),
@@ -627,15 +497,11 @@ mod json_impls {
 
     impl FromJson for WorstCase {
         fn from_json(json: &Json) -> Result<Self, JsonError> {
-            let fp_hex: String = json.field("terminal_fingerprint")?;
-            let terminal_fingerprint = u64::from_str_radix(&fp_hex, 16).map_err(|_| {
-                JsonError::Decode(format!("bad terminal_fingerprint hex `{fp_hex}`"))
-            })?;
             Ok(WorstCase {
                 objective: json.field("objective")?,
                 value: json.field("value")?,
                 witness: json.field("witness")?,
-                terminal_fingerprint,
+                terminal_fingerprint: json.hex_field("terminal_fingerprint")?,
                 distinct_states: json.field("distinct_states")?,
                 expansions: json.field("expansions")?,
                 dominance_prunes: json.field("dominance_prunes")?,
@@ -924,5 +790,15 @@ mod tests {
         assert_eq!(worst.value, 0);
         assert!(worst.witness.is_empty());
         assert_eq!(worst.terminal_hits, 1);
+        // A zero state budget cannot hold even a quiescent start: the
+        // search stops at the root, as the explorer does.
+        let err = Adversary::new()
+            .limits(ExploreLimits::new(0, 10))
+            .run(&ring, Objective::TotalMoves)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            AdversaryError::LimitExceeded(SimError::StepLimitExceeded { limit: 0 })
+        );
     }
 }

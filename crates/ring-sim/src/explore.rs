@@ -19,7 +19,7 @@
 //! every finite execution prefix appears in the graph, exhaustive success
 //! on an instance is a machine-checked proof of the algorithm's
 //! correctness on that instance — far stronger than any number of random
-//! runs — **up to fingerprint collisions**. The visited set is keyed by
+//! runs — **up to fingerprint collisions**. The visited map is keyed by
 //! bare 64-bit fingerprints, so two distinct configurations that collide
 //! are merged and the second one's subtree is never checked (hash
 //! compaction, in Stern and Dill's sense); collisions are not detected
@@ -53,6 +53,18 @@
 //! Livelocks are detected as DFS back-edges on the current path. The
 //! whole report is deterministic, and limits are exact: a limit of `N`
 //! states errors iff the space exceeds `N` states.
+//!
+//! # One walker for both searches
+//!
+//! The DFS itself is a private walker that the worst-case
+//! [`Adversary`](crate::adversary::Adversary) runs too: one apply/undo
+//! loop, one activation arena, one frame stack and one visited map that
+//! holds either an on-path mark or a finished state's remaining value.
+//! [`Explorer::run`] gives it no objective, so every remaining value is
+//! 0, and a terminal predicate that also collects the terminal
+//! fingerprints; the adversary gives it an objective and its move-bound
+//! prune. Cycle, limit and (future) collision checks therefore live in
+//! one place.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -203,10 +215,9 @@ impl ExploreReport {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::ExploreReport;
-    use ringdeploy_json::{FromJson, Json, JsonError, ToJson};
+    use ringdeploy_json::{hex_u64, FromJson, Json, JsonError, ToJson};
 
     impl ToJson for ExploreReport {
         /// Scalar fields only: the terminal fingerprint list (potentially
@@ -221,11 +232,7 @@ mod json_impls {
                 ("peak_frontier", self.peak_frontier.to_json()),
                 (
                     "instance_fingerprint",
-                    // Hex-encoded: fingerprints use all 64 bits, JSON
-                    // numbers only round-trip 53.
-                    self.instance_fingerprint
-                        .map(|fp| format!("{fp:016x}"))
-                        .to_json(),
+                    self.instance_fingerprint.map(hex_u64).to_json(),
                 ),
             ])
         }
@@ -242,15 +249,7 @@ mod json_impls {
                 terminal_fingerprints: Vec::new(),
                 merge_edges: json.field("merge_edges")?,
                 peak_frontier: json.field("peak_frontier")?,
-                instance_fingerprint: {
-                    let hex: Option<String> = json.optional_field("instance_fingerprint")?;
-                    hex.map(|hex| {
-                        u64::from_str_radix(&hex, 16).map_err(|_| {
-                            JsonError::Decode(format!("bad instance_fingerprint hex `{hex}`"))
-                        })
-                    })
-                    .transpose()?
-                },
+                instance_fingerprint: json.optional_hex_field("instance_fingerprint")?,
             })
         }
     }
@@ -429,9 +428,8 @@ impl SymbolPatch {
 /// Under [`SymmetryMode::Off`] there is nothing to cache: the plain
 /// fingerprint hashes the whole configuration by definition.
 ///
-/// Shared with the worst-case schedule search ([`crate::adversary`]),
-/// which walks the same reversible engine with the same incremental
-/// fingerprints.
+/// Owned by the [`Walker`]; the worst-case search ([`crate::adversary`])
+/// also drives it directly in its witness descent.
 pub(crate) enum FingerprintCache {
     Plain,
     Rotation {
@@ -510,6 +508,251 @@ impl FingerprintCache {
     }
 }
 
+/// Visited-map value of a state on the current DFS path: re-entering it
+/// closes a cycle. Every other value is a finished state's remaining
+/// value.
+const ON_PATH: u64 = u64::MAX;
+
+/// What the [`Walker`] asks of the search it serves. The defaults
+/// describe a search with no objective: every gain and every remaining
+/// value is 0, no child is skipped and every terminal is acceptable.
+pub(crate) trait Search<B: Behavior> {
+    /// The objective contribution of `act`, which the walker has just
+    /// applied: `undo` is its record and `ring` the state it left.
+    fn gain(&self, _ring: &Ring<B>, _act: Activation, _undo: &StepUndo<B>) -> u64 {
+        0
+    }
+
+    /// How a step's gain combines with the remaining value of the state
+    /// it leads to.
+    fn combine(&self, _gain: u64, _rest: u64) -> u64 {
+        0
+    }
+
+    /// Whether to skip the unvisited, non-terminal child `ring` without
+    /// visiting it, given its gain and the best value its parent has
+    /// attained so far.
+    fn skip(&self, _ring: &Ring<B>, _gain: u64, _best: u64) -> bool {
+        false
+    }
+
+    /// Whether the newly visited terminal `ring` (fingerprint `fp`) is
+    /// acceptable; `false` stops the walk with `PredicateViolated`.
+    fn accept(&mut self, _ring: &Ring<B>, _fp: u64) -> bool {
+        true
+    }
+}
+
+/// What one walk counted.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct WalkStats {
+    /// Distinct states visited, the root included.
+    pub(crate) states: usize,
+    /// Transitions into an already finished state.
+    pub(crate) memo_hits: u64,
+    /// Transitions into a terminal state, memo hits included, plus a
+    /// quiescent root.
+    pub(crate) terminal_hits: u64,
+    /// Unvisited children [`Search::skip`] cut.
+    pub(crate) skipped: u64,
+    /// The longest DFS path tried.
+    pub(crate) max_depth_seen: usize,
+    /// The deepest stack of non-terminal states on the DFS path.
+    pub(crate) peak_frontier: usize,
+}
+
+/// The one reversible DFS over the configuration graph, shared by the
+/// [`Explorer`] and the [`Adversary`](crate::adversary::Adversary).
+///
+/// It walks one live ring with [`Ring::apply`]/[`Ring::undo`], keeps the
+/// enabled activations of every state on the path in one arena, patches
+/// the fingerprint cache alongside each step, and expands every distinct
+/// state once. Its one visited map stores, per fingerprint, [`ON_PATH`]
+/// while the state is on the DFS path and its remaining value once it is
+/// finished: the best [`Search::combine`] of gain and remaining value
+/// over its children, so 0 for a search with no objective. Re-entering
+/// a path state is a cycle; re-entering a finished one folds its
+/// remaining value in without walking it again.
+pub(crate) struct Walker<B: Behavior> {
+    /// The live ring: at the root before and after a walk, and at the
+    /// offending terminal after a `PredicateViolated` stop.
+    pub(crate) ring: Ring<B>,
+    pub(crate) cache: FingerprintCache,
+    pub(crate) visited: HashMap<u64, u64, FpBuildHasher>,
+    pub(crate) stats: WalkStats,
+}
+
+impl<B> Walker<B>
+where
+    B: Behavior + Clone + Hash,
+    B::Message: Clone + Hash,
+{
+    pub(crate) fn new(ring: &Ring<B>, symmetry: SymmetryMode) -> Self {
+        let ring = ring.clone_for_exploration();
+        Walker {
+            cache: FingerprintCache::new(symmetry, &ring),
+            ring,
+            visited: HashMap::default(),
+            stats: WalkStats {
+                states: 1,
+                peak_frontier: 1,
+                ..WalkStats::default()
+            },
+        }
+    }
+
+    /// Walks every state reachable from the root and returns the root's
+    /// remaining value. A limit of `N` states errors iff more than `N`
+    /// states are reachable.
+    ///
+    /// # Errors
+    ///
+    /// A cycle, a terminal `search` rejects, or an exceeded limit.
+    pub(crate) fn walk(
+        &mut self,
+        limits: ExploreLimits,
+        search: &mut impl Search<B>,
+    ) -> Result<u64, ExploreErrorKind> {
+        let state_limit = || {
+            ExploreErrorKind::LimitExceeded(SimError::StepLimitExceeded {
+                limit: limits.max_states as u64,
+            })
+        };
+        let stats = &mut self.stats;
+        let root_fp = self.cache.fingerprint(&self.ring);
+        if stats.states > limits.max_states {
+            return Err(state_limit());
+        }
+        if self.ring.enabled_activations().is_empty() {
+            stats.terminal_hits = 1;
+            self.visited.insert(root_fp, 0);
+            if !search.accept(&self.ring, root_fp) {
+                return Err(ExploreErrorKind::PredicateViolated { depth: 0 });
+            }
+            return Ok(0);
+        }
+        self.visited.insert(root_fp, ON_PATH);
+
+        /// One state on the DFS path: its fingerprint, the gain of the
+        /// step that entered it, the best value over its children so
+        /// far, its slice of the activation arena, and the undo record
+        /// back to its parent.
+        struct Frame<B: Behavior> {
+            fp: u64,
+            gain: u64,
+            best: u64,
+            acts_start: usize,
+            next: usize,
+            undo: Option<(StepUndo<B>, SymbolPatch)>,
+        }
+
+        // The enabled activations of every state on the path, truncated
+        // on frame pop: no allocation per state in steady state.
+        let mut arena: Vec<Activation> = self.ring.enabled_activations().to_vec();
+        let mut stack: Vec<Frame<B>> = vec![Frame {
+            fp: root_fp,
+            gain: 0,
+            best: 0,
+            acts_start: 0,
+            next: 0,
+            undo: None,
+        }];
+        loop {
+            let top = stack.last_mut().expect("the root is popped last");
+            if top.acts_start + top.next >= arena.len() {
+                // Every child is done: this state's remaining value is
+                // final. Record it and fold it into the parent.
+                let frame = stack.pop().expect("stack is non-empty");
+                *self
+                    .visited
+                    .get_mut(&frame.fp)
+                    .expect("path state is visited") = frame.best;
+                arena.truncate(frame.acts_start);
+                let Some((undo, patch)) = frame.undo else {
+                    return Ok(frame.best);
+                };
+                self.cache.revert(patch);
+                self.ring.undo(undo);
+                let parent = stack.last_mut().expect("non-root frames have parents");
+                parent.best = parent.best.max(search.combine(frame.gain, frame.best));
+                continue;
+            }
+            let act = arena[top.acts_start + top.next];
+            top.next += 1;
+            let depth = stack.len();
+            stats.max_depth_seen = stats.max_depth_seen.max(depth);
+            if depth > limits.max_depth {
+                return Err(ExploreErrorKind::LimitExceeded(
+                    SimError::StepLimitExceeded {
+                        limit: limits.max_depth as u64,
+                    },
+                ));
+            }
+            let undo = self.ring.apply(act);
+            let patch = self.cache.patch(&self.ring, &undo);
+            let fp = self.cache.fingerprint(&self.ring);
+            let gain = search.gain(&self.ring, act, &undo);
+            let terminal = self.ring.enabled_activations().is_empty();
+            let done = match self.visited.entry(fp) {
+                std::collections::hash_map::Entry::Occupied(seen) => {
+                    // Re-entering a path state closes a concrete cycle
+                    // (under Rotation a quotient cycle, which lifts to a
+                    // concrete one: see crate::canonical).
+                    if *seen.get() == ON_PATH {
+                        return Err(ExploreErrorKind::CycleDetected { depth });
+                    }
+                    stats.memo_hits += 1;
+                    stats.terminal_hits += u64::from(terminal);
+                    Some(*seen.get())
+                }
+                std::collections::hash_map::Entry::Vacant(slot) => {
+                    let parent = stack.last().expect("child has a parent frame");
+                    if !terminal && search.skip(&self.ring, gain, parent.best) {
+                        // Not entered into the map: another path may
+                        // still reach the child and walk it.
+                        stats.skipped += 1;
+                        self.cache.revert(patch);
+                        self.ring.undo(undo);
+                        continue;
+                    }
+                    slot.insert(if terminal { 0 } else { ON_PATH });
+                    stats.states += 1;
+                    if stats.states > limits.max_states {
+                        return Err(state_limit());
+                    }
+                    if terminal {
+                        stats.terminal_hits += 1;
+                        if !search.accept(&self.ring, fp) {
+                            // The live ring stays at the offending
+                            // terminal for the caller to take.
+                            return Err(ExploreErrorKind::PredicateViolated { depth });
+                        }
+                    }
+                    terminal.then_some(0)
+                }
+            };
+            if let Some(rem) = done {
+                self.cache.revert(patch);
+                self.ring.undo(undo);
+                let parent = stack.last_mut().expect("child has a parent frame");
+                parent.best = parent.best.max(search.combine(gain, rem));
+                continue;
+            }
+            let acts_start = arena.len();
+            arena.extend_from_slice(self.ring.enabled_activations());
+            stack.push(Frame {
+                fp,
+                gain,
+                best: 0,
+                acts_start,
+                next: 0,
+                undo: Some((undo, patch)),
+            });
+            stats.peak_frontier = stats.peak_frontier.max(stack.len());
+        }
+    }
+}
+
 /// The configurable exploration engine. See the [module docs](self).
 ///
 /// # Examples
@@ -584,9 +827,11 @@ impl Explorer {
     }
 
     /// Explores every schedule of `ring` with a **clone-free, in-place
-    /// DFS** over one live ring. Children are generated with the
-    /// reversible [`Ring::apply`]/[`Ring::undo`] pair instead of
-    /// deep-cloning the parent per successor, and under
+    /// DFS** over one live ring: the walker the adversary shares (see the
+    /// [module docs](self#one-walker-for-both-searches)), asked for no
+    /// objective and for `terminal_ok` at each new terminal. Children
+    /// are generated with the reversible [`Ring::apply`]/[`Ring::undo`]
+    /// pair instead of deep-cloning the parent per successor, and under
     /// [`SymmetryMode::Rotation`] the canonical fingerprint is computed
     /// from a cached symbol vector patched at the ≤ 2 nodes a step
     /// touches (the min-rotation is then recomputed on the patched
@@ -615,147 +860,58 @@ impl Explorer {
     pub fn run<B>(
         &self,
         ring: &Ring<B>,
-        mut terminal_ok: impl FnMut(&Ring<B>) -> bool,
+        terminal_ok: impl FnMut(&Ring<B>) -> bool,
     ) -> Result<ExploreReport, ExploreError<B>>
     where
         B: Behavior + Clone + Hash,
         B::Message: Clone + Hash,
     {
-        let limits = self.limits;
-        let mut cur = ring.clone_for_exploration();
-        let mut cache = FingerprintCache::new(self.symmetry, &cur);
-        let root_fp = cache.fingerprint(&cur);
+        /// The explorer's side of the walk: no objective, and a terminal
+        /// is acceptable iff it satisfies the predicate. Collects the
+        /// terminal fingerprints.
+        struct Check<F> {
+            terminal_ok: F,
+            terminals: Vec<u64>,
+        }
 
-        /// Visited-map value: the state is fully explored…
-        const DONE: u8 = 0;
-        /// …or still on the DFS path (a re-encounter is a back edge, i.e.
-        /// a livelock). One map serves as visited set *and* path set, so
-        /// the per-child cost is a single probe.
-        const ON_PATH: u8 = 1;
-        let mut visited: HashMap<u64, u8, FpBuildHasher> = HashMap::default();
-        let mut terminal_fps: Vec<u64> = Vec::new();
-        let mut report = ExploreReport {
-            states: 1,
-            terminals: 0,
-            max_depth_seen: 0,
-            terminal_fingerprints: Vec::new(),
-            merge_edges: 0,
-            peak_frontier: 1,
-            instance_fingerprint: None,
+        impl<B: Behavior, F: FnMut(&Ring<B>) -> bool> Search<B> for Check<F> {
+            fn accept(&mut self, ring: &Ring<B>, fp: u64) -> bool {
+                self.terminals.push(fp);
+                (self.terminal_ok)(ring)
+            }
+        }
+
+        let mut walker = Walker::new(ring, self.symmetry);
+        let mut check = Check {
+            terminal_ok,
+            terminals: Vec::new(),
         };
-        visited.insert(root_fp, ON_PATH);
-        if report.states > limits.max_states {
-            return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                limit: limits.max_states as u64,
-            }));
+        match walker.walk(self.limits, &mut check) {
+            Ok(_) => {
+                let stats = walker.stats;
+                let mut terminal_fingerprints = check.terminals;
+                terminal_fingerprints.sort_unstable();
+                Ok(ExploreReport {
+                    states: stats.states,
+                    terminals: terminal_fingerprints.len(),
+                    max_depth_seen: stats.max_depth_seen,
+                    terminal_fingerprints,
+                    merge_edges: stats.memo_hits,
+                    peak_frontier: stats.peak_frontier,
+                    instance_fingerprint: None,
+                })
+            }
+            Err(ExploreErrorKind::PredicateViolated { depth }) => {
+                Err(ExploreError::PredicateViolated {
+                    ring: Box::new(walker.ring),
+                    depth,
+                })
+            }
+            Err(ExploreErrorKind::CycleDetected { depth }) => {
+                Err(ExploreError::CycleDetected { depth })
+            }
+            Err(ExploreErrorKind::LimitExceeded(e)) => Err(ExploreError::LimitExceeded(e)),
         }
-        if cur.enabled_activations().is_empty() {
-            report.terminals = 1;
-            report.terminal_fingerprints = vec![root_fp];
-            if !terminal_ok(&cur) {
-                return Err(ExploreError::PredicateViolated {
-                    ring: Box::new(cur),
-                    depth: 0,
-                });
-            }
-            return Ok(report);
-        }
-
-        /// One live state on the DFS path: its fingerprint, its slice of
-        /// the shared activation arena, and the undo record that returns
-        /// the ring to its parent.
-        struct Frame<B: Behavior> {
-            fp: u64,
-            acts_start: usize,
-            next: usize,
-            undo: Option<(StepUndo<B>, SymbolPatch)>,
-        }
-
-        // All live states' enabled activations live in one arena,
-        // truncated on frame pop — no per-state allocation in steady
-        // state.
-        let mut arena: Vec<Activation> = Vec::new();
-        arena.extend_from_slice(cur.enabled_activations());
-        let mut stack: Vec<Frame<B>> = vec![Frame {
-            fp: root_fp,
-            acts_start: 0,
-            next: 0,
-            undo: None,
-        }];
-
-        while let Some(top) = stack.last_mut() {
-            if top.acts_start + top.next >= arena.len() {
-                // All children expanded: return to the parent state.
-                let frame = stack.pop().expect("stack is non-empty");
-                *visited.get_mut(&frame.fp).expect("path state is visited") = DONE;
-                arena.truncate(frame.acts_start);
-                if let Some((undo, patch)) = frame.undo {
-                    cache.revert(patch);
-                    cur.undo(undo);
-                }
-                continue;
-            }
-            let act = arena[top.acts_start + top.next];
-            top.next += 1;
-            let depth = stack.len();
-            report.max_depth_seen = report.max_depth_seen.max(depth);
-            if depth > limits.max_depth {
-                return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                    limit: limits.max_depth as u64,
-                }));
-            }
-            let undo = cur.apply(act);
-            let patch = cache.patch(&cur, &undo);
-            let fp = cache.fingerprint(&cur);
-            match visited.entry(fp) {
-                std::collections::hash_map::Entry::Occupied(seen) => {
-                    if *seen.get() == ON_PATH {
-                        return Err(ExploreError::CycleDetected { depth });
-                    }
-                    report.merge_edges += 1;
-                    cache.revert(patch);
-                    cur.undo(undo);
-                    continue;
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(ON_PATH);
-                }
-            }
-            report.states += 1;
-            if report.states > limits.max_states {
-                return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                    limit: limits.max_states as u64,
-                }));
-            }
-            if cur.enabled_activations().is_empty() {
-                report.terminals += 1;
-                terminal_fps.push(fp);
-                if !terminal_ok(&cur) {
-                    // The one clone-shaped cost left: capturing the
-                    // violating configuration moves the live ring out.
-                    return Err(ExploreError::PredicateViolated {
-                        ring: Box::new(cur),
-                        depth,
-                    });
-                }
-                *visited.get_mut(&fp).expect("just inserted") = DONE;
-                cache.revert(patch);
-                cur.undo(undo);
-                continue;
-            }
-            let acts_start = arena.len();
-            arena.extend_from_slice(cur.enabled_activations());
-            stack.push(Frame {
-                fp,
-                acts_start,
-                next: 0,
-                undo: Some((undo, patch)),
-            });
-            report.peak_frontier = report.peak_frontier.max(stack.len());
-        }
-        terminal_fps.sort_unstable();
-        report.terminal_fingerprints = terminal_fps;
-        Ok(report)
     }
 
     /// The **retained clone-based reference engine** — the pre-0.5 serial

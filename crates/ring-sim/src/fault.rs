@@ -158,7 +158,6 @@ impl std::fmt::Display for FaultPlan {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::{CrashFault, FaultPlan};
     use crate::AgentId;

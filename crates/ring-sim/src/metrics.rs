@@ -157,7 +157,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::Metrics;
     use ringdeploy_json::{FromJson, Json, JsonError, ToJson};

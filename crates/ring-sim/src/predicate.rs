@@ -304,7 +304,6 @@ mod tests {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::DeploymentCheck;
     use crate::action::Idle;

@@ -430,7 +430,6 @@ impl Scheduler for Replay {
     }
 }
 
-#[cfg(feature = "serde")]
 mod json_impls {
     use super::Activation;
     use crate::fault::EdgeFault;

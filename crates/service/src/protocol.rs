@@ -35,7 +35,7 @@ use std::io::{self, Write};
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
 use ringdeploy_analysis::{EvidenceTier, Grid, Objective, SweepSchedule, Workload};
 use ringdeploy_core::Algorithm;
-use ringdeploy_json::{FromJson, Json, JsonError, ToJson};
+use ringdeploy_json::{hex_u64, FromJson, Json, JsonError, ToJson};
 use ringdeploy_sim::FaultPlan;
 
 /// What the daemon does when a submit arrives while the concurrent-job
@@ -491,12 +491,7 @@ impl ToJson for Response {
                 ("id", row.id.to_json()),
                 ("seq", row.seq.to_json()),
                 ("cached", row.cached.to_json()),
-                // Hex-encoded: fingerprints use all 64 bits, JSON
-                // numbers only round-trip 53.
-                (
-                    "fingerprint",
-                    Json::String(format!("{:016x}", row.fingerprint)),
-                ),
+                ("fingerprint", Json::String(hex_u64(row.fingerprint))),
                 ("key", row.key.to_json()),
                 ("payload", row.payload.clone()),
             ]),
@@ -543,19 +538,14 @@ impl FromJson for Response {
                 id: json.field("id")?,
                 reason: json.field("reason")?,
             }),
-            "row" => {
-                let hex: String = json.field("fingerprint")?;
-                let fingerprint = u64::from_str_radix(&hex, 16)
-                    .map_err(|_| JsonError::Decode(format!("bad fingerprint hex `{hex}`")))?;
-                Ok(Response::Row(RowFrame {
-                    id: json.field("id")?,
-                    seq: json.field("seq")?,
-                    cached: json.field("cached")?,
-                    fingerprint,
-                    key: json.field("key")?,
-                    payload: raw_field(json, "payload")?.clone(),
-                }))
-            }
+            "row" => Ok(Response::Row(RowFrame {
+                id: json.field("id")?,
+                seq: json.field("seq")?,
+                cached: json.field("cached")?,
+                fingerprint: json.hex_field("fingerprint")?,
+                key: json.field("key")?,
+                payload: raw_field(json, "payload")?.clone(),
+            })),
             "done" => Ok(Response::Done {
                 id: json.field("id")?,
                 rows: json.field("rows")?,

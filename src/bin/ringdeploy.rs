@@ -349,18 +349,13 @@ fn run(opts: &Options) -> Result<(), String> {
         .run_preset(opts.schedule)
         .map_err(|e| e.to_string())?;
     if opts.json {
-        #[cfg(feature = "serde")]
-        {
-            use ringdeploy_json::ToJson;
-            println!("{}", report.to_json());
-            return if report.succeeded() || report.degraded() {
-                Ok(())
-            } else {
-                Err(format!("deployment check failed: {:?}", report.check))
-            };
-        }
-        #[cfg(not(feature = "serde"))]
-        return Err("--json requires the `serde` feature (enabled by default)".to_string());
+        use ringdeploy_json::ToJson;
+        println!("{}", report.to_json());
+        return if report.succeeded() || report.degraded() {
+            Ok(())
+        } else {
+            Err(format!("deployment check failed: {:?}", report.check))
+        };
     }
     println!("algorithm : {}", report.algorithm.name());
     println!("scheduler : {}", report.scheduler);
@@ -401,22 +396,17 @@ fn run(opts: &Options) -> Result<(), String> {
 fn explore(opts: &Options, init: &InitialConfig) -> Result<(), String> {
     let report = explore_instance(opts, init)?;
     if opts.json {
-        #[cfg(feature = "serde")]
-        {
-            use ringdeploy_json::{Json, ToJson};
-            let json = Json::object([
-                ("mode", "explore".to_json()),
-                ("algorithm", opts.algo.to_json()),
-                ("n", init.ring_size().to_json()),
-                ("k", init.agent_count().to_json()),
-                ("symmetry_degree", init.symmetry_degree().to_json()),
-                ("report", report.to_json()),
-            ]);
-            println!("{json}");
-            return Ok(());
-        }
-        #[cfg(not(feature = "serde"))]
-        return Err("--json requires the `serde` feature (enabled by default)".to_string());
+        use ringdeploy_json::{Json, ToJson};
+        let json = Json::object([
+            ("mode", "explore".to_json()),
+            ("algorithm", opts.algo.to_json()),
+            ("n", init.ring_size().to_json()),
+            ("k", init.agent_count().to_json()),
+            ("symmetry_degree", init.symmetry_degree().to_json()),
+            ("report", report.to_json()),
+        ]);
+        println!("{json}");
+        return Ok(());
     }
     let quotient = match opts.symmetry {
         SymmetryMode::Off => "no quotient",
@@ -481,22 +471,17 @@ fn adversary(opts: &Options, init: &InitialConfig, objective: Objective) -> Resu
     let worst = worst_case_one(opts.algo, init, &engine, objective)
         .map_err(|e| format!("worst-case search FAILED: {e}"))?;
     if opts.json {
-        #[cfg(feature = "serde")]
-        {
-            use ringdeploy_json::{Json, ToJson};
-            let json = Json::object([
-                ("mode", "adversary".to_json()),
-                ("algorithm", opts.algo.to_json()),
-                ("n", init.ring_size().to_json()),
-                ("k", init.agent_count().to_json()),
-                ("symmetry_degree", init.symmetry_degree().to_json()),
-                ("report", worst.to_json()),
-            ]);
-            println!("{json}");
-            return Ok(());
-        }
-        #[cfg(not(feature = "serde"))]
-        return Err("--json requires the `serde` feature (enabled by default)".to_string());
+        use ringdeploy_json::{Json, ToJson};
+        let json = Json::object([
+            ("mode", "adversary".to_json()),
+            ("algorithm", opts.algo.to_json()),
+            ("n", init.ring_size().to_json()),
+            ("k", init.agent_count().to_json()),
+            ("symmetry_degree", init.symmetry_degree().to_json()),
+            ("report", worst.to_json()),
+        ]);
+        println!("{json}");
+        return Ok(());
     }
     println!("algorithm : {}", opts.algo.name());
     println!("mode      : adversarial worst case (every fair schedule, exact)");
@@ -529,22 +514,17 @@ fn certify(opts: &Options, init: &InitialConfig) -> Result<(), String> {
     }
     let violation = violation_error(&certificates);
     if opts.json {
-        #[cfg(feature = "serde")]
-        {
-            use ringdeploy_json::{Json, ToJson};
-            let json = Json::object([
-                ("mode", "certify".to_json()),
-                ("algorithm", opts.algo.to_json()),
-                ("n", init.ring_size().to_json()),
-                ("k", init.agent_count().to_json()),
-                ("symmetry_degree", init.symmetry_degree().to_json()),
-                ("tier", opts.tier.to_json()),
-                ("certificates", certificates.to_json()),
-            ]);
-            println!("{json}");
-        }
-        #[cfg(not(feature = "serde"))]
-        return Err("--json requires the `serde` feature (enabled by default)".to_string());
+        use ringdeploy_json::{Json, ToJson};
+        let json = Json::object([
+            ("mode", "certify".to_json()),
+            ("algorithm", opts.algo.to_json()),
+            ("n", init.ring_size().to_json()),
+            ("k", init.agent_count().to_json()),
+            ("symmetry_degree", init.symmetry_degree().to_json()),
+            ("tier", opts.tier.to_json()),
+            ("certificates", certificates.to_json()),
+        ]);
+        println!("{json}");
     } else {
         println!("algorithm : {}", opts.algo.name());
         println!("mode      : bound certification ({} tier)", opts.tier);
@@ -583,9 +563,7 @@ fn violation_error(certificates: &[ringdeploy::BoundCertificate]) -> Option<Stri
     })
 }
 
-/// `--serve` / `--connect`: the `ringdeployd` daemon front end. Kept in
-/// one serde-gated module because the whole wire protocol needs JSON.
-#[cfg(feature = "serde")]
+/// `--serve` / `--connect`: the `ringdeployd` daemon front end.
 mod service_cli {
     use std::io::Write;
     use std::process::ExitCode;
@@ -866,7 +844,6 @@ mod service_cli {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    #[cfg(feature = "serde")]
     if service_cli::wants_dispatch(&args) {
         return service_cli::dispatch(&args);
     }

@@ -60,10 +60,8 @@
 pub use ringdeploy_analysis as analysis;
 pub use ringdeploy_core as core;
 pub use ringdeploy_embed as embed;
-#[cfg(feature = "serde")]
 pub use ringdeploy_json as json;
 pub use ringdeploy_seq as seq;
-#[cfg(feature = "serde")]
 pub use ringdeploy_service as service;
 pub use ringdeploy_sim as sim;
 pub use ringdeploy_vis as vis;

@@ -11,7 +11,9 @@
 //! * **full coverage** — with the bound prune disabled, the search's
 //!   `distinct_states` equals the exhaustive explorer's `states` in the
 //!   same mode (both modes): the maximum really is taken over the
-//!   explorer's *entire* reachable state space, not a subset;
+//!   explorer's *entire* reachable state space, not a subset; its memo
+//!   hits equal the explorer's merge edges and its deepest path the
+//!   explorer's, so both walk the same graph in the same order;
 //! * **independent recomputation** — a reference algorithm of a
 //!   different shape (top-down dynamic programming on the
 //!   *maximum-remaining* value per plain fingerprint, clone-based
@@ -128,6 +130,16 @@ fn search_covers_exactly_the_explorers_reachable_space() {
                          worst-case search must cover the explorer's reachable space exactly"
                     );
                     assert_eq!(worst.bound_prunes, 0, "prune was disabled");
+                    // Same graph, same order: every memo hit is one of the
+                    // explorer's merge edges, and the DFS paths are as long.
+                    assert_eq!(
+                        worst.dominance_prunes, explored.merge_edges,
+                        "{algorithm} {objective} n={n} homes={homes:?} {symmetry:?}"
+                    );
+                    assert_eq!(
+                        worst.max_depth_seen, explored.max_depth_seen,
+                        "{algorithm} {objective} n={n} homes={homes:?} {symmetry:?}"
+                    );
                 }
                 // With the prune enabled the space can only shrink, and
                 // never below the terminal-bearing core.

@@ -6,8 +6,7 @@
 //!   end-to-end;
 //! * `Sweep` is deterministic for a fixed seed, across thread counts and
 //!   against its sequential reference;
-//! * `DeployReport` and `Measurement` survive a JSON round-trip (the
-//!   workspace `serde` feature).
+//! * `DeployReport` and `Measurement` survive a JSON round-trip.
 
 use ringdeploy::analysis::{summarize, Workload};
 use ringdeploy::sim::scheduler::{Activation, Scheduler};
@@ -153,7 +152,6 @@ fn sweep_is_deterministic_under_a_fixed_seed() {
     assert!(cells.iter().all(|c| c.success_rate == 1.0));
 }
 
-#[cfg(feature = "serde")]
 mod serde_round_trips {
     use super::*;
     use ringdeploy::analysis::Measurement;

@@ -11,9 +11,10 @@
 //!   both);
 //! * limit enforcement is exact: the `max_states` boundary between
 //!   success and `LimitExceeded` sits at exactly the state count of the
-//!   space for both engines.
+//!   space for both engines and for the adversary.
 
 use ringdeploy::core::ExploreEngine;
+use ringdeploy::sim::adversary::{Adversary, AdversaryError, Objective};
 use ringdeploy::sim::canonical::{canonical_fingerprint, plain_fingerprint};
 use ringdeploy::sim::explore::{
     ExploreErrorKind, ExploreLimits, ExploreReport, Explorer, SymmetryMode,
@@ -212,8 +213,8 @@ fn both_engines_report_limit_errors() {
 
 /// The `max_states` budget is exact: the boundary between success and
 /// `LimitExceeded` sits at exactly the state count of the space, for the
-/// in-place DFS and the reference alike — a budget of N errors iff the
-/// space holds more than N states.
+/// in-place DFS, the reference and the adversary alike — a budget of N
+/// errors iff the space holds more than N states.
 #[test]
 fn limit_boundary_is_engine_independent() {
     let init = InitialConfig::new(10, vec![0, 1, 2]).expect("valid");
@@ -243,6 +244,25 @@ fn limit_boundary_is_engine_independent() {
         assert!(
             matches!(run(at(states - 1)), Err(ExploreErrorKind::LimitExceeded(_))),
             "{engine:?}: a budget of {} states must be exceeded",
+            states - 1
+        );
+    }
+    // The adversary walks the same graph under the same budget.
+    for objective in Objective::ALL {
+        let run = |max_states: usize| {
+            Adversary::new()
+                .symmetry(SymmetryMode::Rotation)
+                .limits(ExploreLimits::new(max_states, 100_000))
+                .bound_prune(false)
+                .run(&ring, objective)
+        };
+        assert!(
+            run(states).is_ok(),
+            "adversary {objective}: a budget of exactly {states} states must succeed"
+        );
+        assert!(
+            matches!(run(states - 1), Err(AdversaryError::LimitExceeded(_))),
+            "adversary {objective}: a budget of {} states must be exceeded",
             states - 1
         );
     }

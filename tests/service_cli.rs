@@ -1,8 +1,6 @@
 //! `ringdeploy --serve` / `--connect` integration tests: real daemon
 //! subprocess, real client subprocesses, plus the stdio transport.
 
-#![cfg(feature = "serde")]
-
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 
