@@ -18,7 +18,7 @@
 //! * [`EvidenceTier::Sweep`] — the weakest: the maximum over a sample of
 //!   schedules (64 random seeds by default, plus every deterministic
 //!   adversary preset). A lower bound on the true worst case.
-//! * [`EvidenceTier::Exhaustive`] — the branch-and-bound worst-case
+//! * [`EvidenceTier::Exhaustive`] — the exact worst-case
 //!   search over the **plain** (unquotiented) configuration space
 //!   ([`SymmetryMode::Off`]): every reachable concrete configuration is
 //!   visited, so the maximum is exact. This is the instrumented
@@ -100,12 +100,12 @@ pub enum EvidenceTier {
     /// Maximum over sampled schedules (random seeds + deterministic
     /// adversary presets). A lower bound on the true worst case.
     Sweep,
-    /// Exact maximum via branch-and-bound over the plain configuration
+    /// Exact maximum via the worst-case search over the plain configuration
     /// space ([`SymmetryMode::Off`]) — every reachable concrete
     /// configuration visited.
     Exhaustive,
-    /// Exact maximum via branch-and-bound over the rotation quotient
-    /// ([`SymmetryMode::Rotation`]) — same value, pruned search.
+    /// Exact maximum via the worst-case search over the rotation quotient
+    /// ([`SymmetryMode::Rotation`]) — same value, smaller search.
     Adversarial,
 }
 
@@ -138,7 +138,7 @@ impl std::fmt::Display for EvidenceTier {
     }
 }
 
-/// Search diagnostics of the branch-and-bound tiers.
+/// Search diagnostics of the search tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
     /// Distinct configurations visited (rotation classes under the
@@ -259,7 +259,7 @@ pub struct CertifySettings {
     /// to the deterministic presets (round-robin, one-at-a-time and
     /// every `delay-agent` victim).
     pub sweep_seeds: u64,
-    /// Search limits for the branch-and-bound tiers (default:
+    /// Search limits for the search tiers (default:
     /// [`ExploreLimits::for_instance`] per instance).
     pub limits: Option<ExploreLimits>,
 }
@@ -315,9 +315,9 @@ impl From<AdversaryError> for CertifyErrorKind {
 /// Runs the worst-case search for one explicit instance under
 /// `algorithm` — trait-routed through
 /// [`ProblemFamily::worst_case`](ringdeploy_core::ProblemFamily::worst_case),
-/// mirroring [`explore_one`](crate::explore_one). [`Certify`] cells, the
-/// CLI's `--adversary`/`--certify` modes and the `adversary_scale` bench
-/// all route through here.
+/// mirroring [`explore_one`](crate::explore_one). The CLI's
+/// `--adversary` mode and the daemon's adversary cells route through
+/// here; [`certify_all`] asks the family for every objective at once.
 ///
 /// # Errors
 ///
@@ -342,7 +342,8 @@ fn objective_of_report(objective: Objective, report: &ringdeploy_core::DeployRep
 
 /// Certifies one bound: measures the worst case of `objective` for
 /// `algorithm` on `init` at the given evidence `tier` and evaluates the
-/// recorded paper bound against it. See the [module docs](self).
+/// recorded paper bound against it — [`certify_all`] with one objective.
+/// See the [module docs](self).
 ///
 /// # Errors
 ///
@@ -354,23 +355,53 @@ pub fn certify_one(
     tier: EvidenceTier,
     settings: &CertifySettings,
 ) -> Result<BoundCertificate, CertifyErrorKind> {
+    let mut certificates = certify_all(algorithm, init, &[objective], tier, settings)?;
+    Ok(certificates.pop().expect("one certificate per objective"))
+}
+
+/// Certifies every objective in `objectives` for `algorithm` on `init`
+/// at `tier` from one measurement: one worst-case search
+/// ([`ProblemFamily::worst_cases`](ringdeploy_core::ProblemFamily::worst_cases))
+/// or one set of sweep runs, plus one oracle call and one degradation
+/// probe. Returns one certificate per entry, in order, each equal to
+/// what [`certify_one`] returns for its objective.
+///
+/// # Errors
+///
+/// See [`CertifyErrorKind`]; one error stands for every objective.
+pub fn certify_all(
+    algorithm: Algorithm,
+    init: &InitialConfig,
+    objectives: &[Objective],
+    tier: EvidenceTier,
+    settings: &CertifySettings,
+) -> Result<Vec<BoundCertificate>, CertifyErrorKind> {
     let n = init.ring_size();
     let k = init.agent_count();
     let l = init.symmetry_degree();
-    let bound = paper_bound(algorithm, objective, n, k, l);
-    let (worst_value, witness, terminal_fingerprint, search) = match tier {
+    // Per objective: worst value, witness, terminal fingerprint, search
+    // statistics.
+    type Measured = (
+        u64,
+        Option<Vec<Activation>>,
+        Option<u64>,
+        Option<SearchStats>,
+    );
+    let measured: Vec<Measured> = match tier {
         EvidenceTier::Sweep => {
             let mut schedules: Vec<Schedule> = vec![Schedule::RoundRobin, Schedule::OneAtATime];
             schedules.extend((0..k).map(Schedule::DelayAgent));
             schedules.extend((0..settings.sweep_seeds).map(Schedule::Random));
-            let mut max = 0u64;
+            let mut max = vec![0u64; objectives.len()];
             for schedule in schedules {
                 let report = Deployment::of(init)
                     .algorithm(algorithm)
                     .run_preset(schedule)?;
-                max = max.max(objective_of_report(objective, &report));
+                for (max, &objective) in max.iter_mut().zip(objectives) {
+                    *max = (*max).max(objective_of_report(objective, &report));
+                }
             }
-            (max, None, None, None)
+            max.into_iter().map(|max| (max, None, None, None)).collect()
         }
         EvidenceTier::Exhaustive | EvidenceTier::Adversarial => {
             let symmetry = match tier {
@@ -381,75 +412,99 @@ pub fn certify_one(
                 .limits
                 .unwrap_or_else(|| ExploreLimits::for_instance(n, k));
             let adversary = Adversary::new().limits(limits).symmetry(symmetry);
-            let worst = worst_case_one(algorithm, init, &adversary, objective)?;
-            let stats = SearchStats::from(&worst);
-            (
-                worst.value,
-                Some(worst.witness),
-                Some(worst.terminal_fingerprint),
-                Some(stats),
-            )
+            algorithm
+                .worst_cases(init, &adversary, objectives)?
+                .into_iter()
+                .map(|worst| {
+                    let stats = SearchStats::from(&worst);
+                    (
+                        worst.value,
+                        Some(worst.witness),
+                        Some(worst.terminal_fingerprint),
+                        Some(stats),
+                    )
+                })
+                .collect()
         }
     };
-    let (oracle, ratio) = match objective {
-        Objective::TotalMoves => {
-            let oracle = algorithm.oracle_moves(init);
-            let ratio = oracle
-                .filter(|&o| o > 0)
-                .map(|o| worst_value as f64 / o as f64);
-            (oracle, ratio)
-        }
-        _ => (None, None),
-    };
-    let holds = (worst_value as f64) <= bound.value;
-    let degradation = degradation_verdict(algorithm, init, holds);
-    Ok(BoundCertificate {
-        algorithm,
-        objective,
-        tier,
-        n,
-        k,
-        symmetry_degree: l,
-        bound,
-        worst_value,
-        witness,
-        terminal_fingerprint,
-        oracle_moves: oracle,
-        competitive_ratio: ratio,
-        search,
-        degradation,
-        instance_fingerprint: None,
-    })
+    let oracle = objectives
+        .contains(&Objective::TotalMoves)
+        .then(|| algorithm.oracle_moves(init))
+        .flatten();
+    let probe = degradation_probe(algorithm, init);
+    Ok(objectives
+        .iter()
+        .zip(measured)
+        .map(
+            |(&objective, (worst_value, witness, terminal_fingerprint, search))| {
+                let bound = paper_bound(algorithm, objective, n, k, l);
+                let (oracle, ratio) = match objective {
+                    Objective::TotalMoves => {
+                        let ratio = oracle
+                            .filter(|&o| o > 0)
+                            .map(|o| worst_value as f64 / o as f64);
+                        (oracle, ratio)
+                    }
+                    _ => (None, None),
+                };
+                let holds = (worst_value as f64) <= bound.value;
+                BoundCertificate {
+                    algorithm,
+                    objective,
+                    tier,
+                    n,
+                    k,
+                    symmetry_degree: l,
+                    bound,
+                    worst_value,
+                    witness,
+                    terminal_fingerprint,
+                    oracle_moves: oracle,
+                    competitive_ratio: ratio,
+                    search,
+                    degradation: probe
+                        .as_ref()
+                        .map(|probe| degradation_verdict(probe, holds)),
+                    instance_fingerprint: None,
+                }
+            },
+        )
+        .collect())
 }
 
-/// The graceful-degradation tier: probes a faulted instance with one
-/// deterministic round-robin run to quiescence and classifies the
-/// outcome. `None` for fault-free instances — the verdict (like the
+/// The graceful-degradation tier's probe: one deterministic round-robin
+/// run of a faulted instance to quiescence, its success check or its
+/// failure. `None` for fault-free instances — the verdict (like the
 /// fault plan itself) only exists on faulted keys.
-fn degradation_verdict(
+fn degradation_probe(
     algorithm: Algorithm,
     init: &InitialConfig,
-    bound_holds: bool,
-) -> Option<DegradationVerdict> {
+) -> Option<Result<DeploymentCheck, DeployError>> {
     if init.faults().is_empty() {
         return None;
     }
     Some(
-        match Deployment::of(init)
+        Deployment::of(init)
             .algorithm(algorithm)
             .run_preset(Schedule::RoundRobin)
-        {
-            Ok(report) if report.check.is_satisfied() && bound_holds => {
-                DegradationVerdict::BoundHolds
-            }
-            // Quiescent but short of the full claim — either the check
-            // failed (typically `CrashDegraded`) or the measured worst
-            // case broke the recorded bound; the carried check says
-            // which.
-            Ok(report) => DegradationVerdict::Degraded(report.check),
-            Err(_) => DegradationVerdict::Diverges,
-        },
+            .map(|report| report.check),
     )
+}
+
+/// Classifies the probe's outcome for one certificate, whose measured
+/// worst case does or does not satisfy its bound.
+fn degradation_verdict(
+    probe: &Result<DeploymentCheck, DeployError>,
+    bound_holds: bool,
+) -> DegradationVerdict {
+    match probe {
+        Ok(check) if check.is_satisfied() && bound_holds => DegradationVerdict::BoundHolds,
+        // Quiescent but short of the full claim — either the check
+        // failed (typically `CrashDegraded`) or the measured worst case
+        // broke the recorded bound; the carried check says which.
+        Ok(check) => DegradationVerdict::Degraded(check.clone()),
+        Err(_) => DegradationVerdict::Diverges,
+    }
 }
 
 /// One streamed result row: the cell's key plus its certificate.
@@ -463,27 +518,51 @@ pub struct CertifyRow {
     pub certificate: BoundCertificate,
 }
 
-/// The per-cell job of a [`Certify`] batch: [`certify_one`] at the
-/// cell's objective and tier.
+/// The per-cell job of a [`Certify`] batch: [`certify_all`] at the tier
+/// of a group of cells that differ only in objective, so an instance is
+/// searched (or swept) once for all of its objectives.
 impl CellJob for CertifySettings {
     const KIND: JobKind = JobKind::Certify;
     type Row = CertifyRow;
     type Error = CertifyErrorKind;
 
     fn row(&self, key: &InstanceKey, init: &InitialConfig) -> Result<CertifyRow, CertifyErrorKind> {
-        let objective = key.objective.expect("certify keys carry an objective");
-        let tier = key.tier.expect("certify keys carry a tier");
-        Ok(CertifyRow {
-            cell: key.clone(),
-            certificate: certify_one(key.algorithm, init, objective, tier, self)?,
-        })
+        let mut rows = self.rows(&[key], init);
+        rows.pop().expect("one row per key")
+    }
+
+    fn rows(
+        &self,
+        keys: &[&InstanceKey],
+        init: &InitialConfig,
+    ) -> Vec<Result<CertifyRow, CertifyErrorKind>> {
+        let objectives: Vec<Objective> = keys
+            .iter()
+            .map(|key| key.objective.expect("certify keys carry an objective"))
+            .collect();
+        let tier = keys[0].tier.expect("certify keys carry a tier");
+        match certify_all(keys[0].algorithm, init, &objectives, tier, self) {
+            Ok(certificates) => keys
+                .iter()
+                .zip(certificates)
+                .map(|(key, certificate)| {
+                    Ok(CertifyRow {
+                        cell: (*key).clone(),
+                        certificate,
+                    })
+                })
+                .collect(),
+            Err(error) => keys.iter().map(|_| Err(error.clone())).collect(),
+        }
     }
 }
 
 /// A batch of bound certifications over the cross product
-/// algorithms × workloads × objectives × seeds. Like
-/// [`Explore`](crate::Explore), cells run sequentially: each
-/// branch-and-bound search already keeps a core busy and holds its own
+/// algorithms × workloads × objectives × seeds. The cells of one
+/// instance — the same key but for the objective — are certified
+/// together by one [`certify_all`] call, and their rows still stream in
+/// key order. Like [`Explore`](crate::Explore), cells run sequentially:
+/// each worst-case search already keeps a core busy and holds its own
 /// memo.
 ///
 /// # Example
@@ -677,7 +756,101 @@ mod json_impls {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::BatchError;
+    use crate::sweep::Workload;
     use ringdeploy_core::oracle_moves;
+    use ringdeploy_sim::{AgentId, FaultPlan};
+
+    #[test]
+    fn batch_rows_equal_per_cell_certificates() {
+        // Seeds are the innermost axis, so an instance's objectives are
+        // not adjacent keys; one objective is repeated.
+        for tier in EvidenceTier::ALL {
+            for faults in [
+                FaultPlan::none(),
+                FaultPlan::none().with_crash(AgentId(1), 2),
+            ] {
+                let batch = Certify::new()
+                    .algorithms([Algorithm::FullKnowledge, Algorithm::partial_gathering(2)])
+                    .workload(Workload::Random { n: 8, k: 3 })
+                    .objectives([
+                        Objective::TotalMoves,
+                        Objective::PeakMemoryBits,
+                        Objective::TotalMoves,
+                        Objective::TotalActivations,
+                    ])
+                    .seeds([1, 2])
+                    .tier(tier)
+                    .sweep_seeds(4)
+                    .faults(faults);
+                let rows = batch.run().expect("batch succeeds");
+                let cells = batch.cells().expect("non-empty grid");
+                assert_eq!(rows.len(), cells.len());
+                for (row, key) in rows.iter().zip(&cells) {
+                    assert_eq!(&row.cell, key);
+                    let alone = certify_one(
+                        key.algorithm,
+                        &key.instantiate(),
+                        key.objective.expect("certify key"),
+                        tier,
+                        &batch.job,
+                    )
+                    .expect("cell succeeds");
+                    assert_eq!(row.certificate, alone, "{}", key.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_unit_failing_on_a_limit_reports_its_lowest_index_and_emits_nothing_after() {
+        let workload = Workload::Random { n: 9, k: 3 };
+        let states = |seed: u64| {
+            certify_one(
+                Algorithm::FullKnowledge,
+                &workload.instantiate(seed),
+                Objective::TotalMoves,
+                EvidenceTier::Adversarial,
+                &CertifySettings::default(),
+            )
+            .expect("unlimited search succeeds")
+            .search
+            .expect("search tier")
+            .distinct_states
+        };
+        // Two seeds with differently sized spaces, the smaller first.
+        let mut seeds: Vec<(usize, u64)> = Vec::new();
+        for seed in 0.. {
+            if seeds.iter().all(|&(s, _)| s != states(seed)) {
+                seeds.push((states(seed), seed));
+            }
+            if seeds.len() == 2 {
+                break;
+            }
+        }
+        seeds.sort_unstable();
+        let [(small, small_seed), (_, large_seed)] = [seeds[0], seeds[1]];
+        // The budget holds the smaller space only. Keys run objective by
+        // objective, seeds innermost: the larger instance's first key is
+        // cell 1, and the smaller instance's later rows (cells 2 and 4)
+        // are computed with cell 0 but must not be emitted.
+        let batch = Certify::new()
+            .algorithm(Algorithm::FullKnowledge)
+            .workload(workload)
+            .seeds([small_seed, large_seed])
+            .limits(ExploreLimits::new(small, 100_000));
+        let mut streamed = Vec::new();
+        let err = batch.stream(|row| streamed.push(row.cell)).unwrap_err();
+        match err {
+            BatchError::Cell {
+                index,
+                error: CertifyErrorKind::Search(AdversaryError::LimitExceeded(_)),
+                ..
+            } => assert_eq!(index, 1),
+            other => panic!("unexpected {other}"),
+        }
+        assert_eq!(streamed, batch.cells().expect("non-empty grid")[..1]);
+    }
 
     #[test]
     fn adversarial_tier_certifies_the_exhaustive_instances() {

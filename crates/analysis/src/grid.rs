@@ -10,12 +10,16 @@
 //! pinned to a seed contributes that one seed instead of the seed list.
 //!
 //! A [`Batch`] runs a per-cell [`CellJob`] over its grid and streams the
-//! rows in key order. [`Sweep`](crate::Sweep), [`Explore`](crate::Explore)
-//! and [`Certify`](crate::Certify) are its three instantiations and add
-//! only their kind-specific setters; the daemon expands its jobs through
-//! the same [`Grid`], so a batch row and a cached daemon row of the same
-//! cell carry the same key.
+//! rows in key order. Keys that differ only in their objective are one
+//! unit of work, handed to [`CellJob::rows`] together, so a job can
+//! answer an instance's objectives from one computation; keys without an
+//! objective are units of their own. [`Sweep`](crate::Sweep),
+//! [`Explore`](crate::Explore) and [`Certify`](crate::Certify) are its
+//! three instantiations and add only their kind-specific setters; the
+//! daemon expands its jobs through the same [`Grid`], so a batch row and
+//! a cached daemon row of the same cell carry the same key.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
@@ -201,6 +205,17 @@ pub trait CellJob: Sync {
     /// The cell's failure; it aborts the batch.
     fn row(&self, key: &InstanceKey, init: &InitialConfig) -> Result<Self::Row, Self::Error>;
 
+    /// Computes the rows of `keys`, which differ only in their objective
+    /// and so share the instance `init`: one result per key, in order.
+    /// The default calls [`row`](CellJob::row) once per key.
+    fn rows(
+        &self,
+        keys: &[&InstanceKey],
+        init: &InitialConfig,
+    ) -> Vec<Result<Self::Row, Self::Error>> {
+        keys.iter().map(|key| self.row(key, init)).collect()
+    }
+
     /// Worker threads the batch runs on (default: one, so cells run in
     /// order on the caller's thread).
     fn threads(&self) -> usize {
@@ -306,9 +321,11 @@ impl<J: CellJob> Batch<J> {
     }
 
     /// Runs every cell, calling `on_row` for each row **in row order**
-    /// as soon as its prefix is complete. With more than one worker
-    /// thread, cells run in parallel and later rows wait for earlier
-    /// ones, so the rows equal a serial run's.
+    /// as soon as its prefix is complete. Cells that differ only in
+    /// their objective run as one unit ([`CellJob::rows`]); a unit's
+    /// later rows wait for the rows before them. With more than one
+    /// worker thread, units run in parallel and later rows wait for
+    /// earlier ones, so the rows equal a serial run's.
     ///
     /// # Errors
     ///
@@ -316,36 +333,52 @@ impl<J: CellJob> Batch<J> {
     /// at or after that index.
     pub fn stream(&self, mut on_row: impl FnMut(J::Row)) -> Result<(), BatchError<J::Error>> {
         let keys = self.cells()?;
-        let run = |index: usize| {
-            let key = &keys[index];
-            self.job
-                .row(key, &key.instantiate())
-                .map_err(|error| BatchError::Cell {
+        let units = objective_units(&keys);
+        let mut slots: Vec<Mutex<Option<CellResult<J>>>> =
+            keys.iter().map(|_| Mutex::new(None)).collect();
+        // Computes one unit into the slots of its keys.
+        let run = |unit: &[usize], slots: &[Mutex<Option<CellResult<J>>>]| {
+            let members: Vec<&InstanceKey> = unit.iter().map(|&i| &keys[i]).collect();
+            let rows = self.job.rows(&members, &keys[unit[0]].instantiate());
+            for (&index, result) in unit.iter().zip(rows) {
+                let result = result.map_err(|error| BatchError::Cell {
                     index,
-                    label: key.label(),
+                    label: keys[index].label(),
                     error,
-                })
+                });
+                *slots[index].lock().expect("batch slot poisoned") = Some(result);
+            }
         };
-        let workers = self.job.threads().min(keys.len());
+        let workers = self.job.threads().min(units.len());
         if workers <= 1 {
+            // Units are ordered by their first key, so an empty slot is
+            // the first key of the next unit.
+            let mut next = units.iter();
             for index in 0..keys.len() {
-                on_row(run(index)?);
+                if slots[index]
+                    .get_mut()
+                    .expect("batch slot poisoned")
+                    .is_none()
+                {
+                    run(next.next().expect("every key is in a unit"), &slots);
+                }
+                let result = slots[index].get_mut().expect("batch slot poisoned").take();
+                on_row(result.expect("the unit filled its slots")?);
             }
             return Ok(());
         }
 
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel();
-        let slots: Vec<Mutex<Option<_>>> = keys.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let (tx, next, slots, run) = (tx.clone(), &next, &slots, &run);
+                let (tx, next, units, slots, run) = (tx.clone(), &next, &units, &slots, &run);
                 scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= slots.len() {
+                    let u = next.fetch_add(1, Ordering::Relaxed);
+                    if u >= units.len() {
                         break;
                     }
-                    *slots[i].lock().expect("batch slot poisoned") = Some(run(i));
+                    run(&units[u], slots);
                     if tx.send(()).is_err() {
                         break;
                     }
@@ -371,8 +404,8 @@ impl<J: CellJob> Batch<J> {
                                 first_error = Some(error);
                                 // The outcome is decided: park the work
                                 // queue so idle workers stop picking up
-                                // cells (in-flight cells still finish).
-                                next.store(slots.len(), Ordering::Relaxed);
+                                // units (in-flight units still finish).
+                                next.store(units.len(), Ordering::Relaxed);
                             }
                         }
                     }
@@ -381,6 +414,35 @@ impl<J: CellJob> Batch<J> {
             first_error.map_or(Ok(()), Err)
         })
     }
+}
+
+/// One cell's outcome in a [`Batch`] run.
+type CellResult<J> = Result<<J as CellJob>::Row, BatchError<<J as CellJob>::Error>>;
+
+/// Splits `keys` into units of work: the indices of keys equal but for
+/// their objective, each unit in key order and the units ordered by
+/// their first key. A key without an objective is a unit of its own.
+fn objective_units(keys: &[InstanceKey]) -> Vec<Vec<usize>> {
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut by_instance: HashMap<InstanceKey, usize> = HashMap::new();
+    for (index, key) in keys.iter().enumerate() {
+        if key.objective.is_none() {
+            units.push(vec![index]);
+            continue;
+        }
+        let instance = InstanceKey {
+            objective: None,
+            ..key.clone()
+        };
+        match by_instance.entry(instance) {
+            std::collections::hash_map::Entry::Occupied(unit) => units[*unit.get()].push(index),
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(units.len());
+                units.push(vec![index]);
+            }
+        }
+    }
+    units
 }
 
 #[cfg(test)]
@@ -500,6 +562,90 @@ mod tests {
                     assert_eq!(seed, key.seed, "{}", key.label());
                 }
             }
+        }
+    }
+
+    /// Echoes its keys, counts the units it is handed, and fails every
+    /// key of one seed.
+    struct Echo {
+        threads: usize,
+        fail_seed: Option<u64>,
+        units: AtomicUsize,
+    }
+
+    impl CellJob for Echo {
+        const KIND: JobKind = JobKind::Certify;
+        type Row = InstanceKey;
+        type Error = u64;
+
+        fn row(&self, key: &InstanceKey, _init: &InitialConfig) -> Result<InstanceKey, u64> {
+            match self.fail_seed {
+                Some(seed) if seed == key.seed => Err(seed),
+                _ => Ok(key.clone()),
+            }
+        }
+
+        fn rows(
+            &self,
+            keys: &[&InstanceKey],
+            init: &InitialConfig,
+        ) -> Vec<Result<InstanceKey, u64>> {
+            self.units.fetch_add(1, Ordering::Relaxed);
+            let instance = |key: &InstanceKey| InstanceKey {
+                objective: None,
+                ..key.clone()
+            };
+            assert!(keys.iter().all(|key| instance(key) == instance(keys[0])));
+            keys.iter().map(|key| self.row(key, init)).collect()
+        }
+
+        fn threads(&self) -> usize {
+            self.threads
+        }
+    }
+
+    #[test]
+    fn cells_differing_only_in_objective_run_as_one_unit() {
+        for threads in [1, 3] {
+            let batch = |fail_seed| Batch {
+                grid: Grid {
+                    algorithms: vec![Algorithm::FullKnowledge, Algorithm::Relaxed],
+                    workloads: vec![(Workload::Random { n: 10, k: 3 }, None)],
+                    objectives: vec![
+                        Objective::TotalMoves,
+                        Objective::PeakMemoryBits,
+                        Objective::TotalMoves,
+                    ],
+                    seeds: vec![4, 5, 6],
+                    ..Grid::new(JobKind::Certify)
+                },
+                job: Echo {
+                    threads,
+                    fail_seed,
+                    units: AtomicUsize::new(0),
+                },
+            };
+            let ok = batch(None);
+            assert_eq!(ok.run().unwrap(), ok.cells().unwrap(), "{threads} threads");
+            // Two algorithms × three seeds, the repeated objective
+            // included in its instance's unit.
+            assert_eq!(ok.job.units.load(Ordering::Relaxed), 6, "{threads} threads");
+            // Seed 5's first key is cell 1: only cell 0 is emitted.
+            let failing = batch(Some(5));
+            let mut streamed = Vec::new();
+            let err = failing.stream(|row| streamed.push(row)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    BatchError::Cell {
+                        index: 1,
+                        error: 5,
+                        ..
+                    }
+                ),
+                "{threads} threads: {err:?}"
+            );
+            assert_eq!(streamed, failing.cells().unwrap()[..1], "{threads} threads");
         }
     }
 

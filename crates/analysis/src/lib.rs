@@ -18,7 +18,7 @@
 //!   instance instead of sampling one.
 //! * [`Certify`]: the bound-certification batch — each cell finds
 //!   the exact adversarial worst case of a paper measure
-//!   (branch-and-bound over the reversible engine) and evaluates the
+//!   (an exact search over the reversible engine) and evaluates the
 //!   recorded paper bound against it, with a replayable witness
 //!   schedule and the competitive ratio versus [`oracle_moves`].
 //! * [`Summary`] / [`LinearFit`]: statistics for scaling-shape checks.
@@ -59,8 +59,9 @@ pub mod sweep;
 mod table;
 
 pub use certify::{
-    certify_one, paper_bound, worst_case_one, BoundCertificate, Certify, CertifyErrorKind,
-    CertifyRow, CertifySettings, DegradationVerdict, EvidenceTier, PaperBound, SearchStats,
+    certify_all, certify_one, paper_bound, worst_case_one, BoundCertificate, Certify,
+    CertifyErrorKind, CertifyRow, CertifySettings, DegradationVerdict, EvidenceTier, PaperBound,
+    SearchStats,
 };
 pub use experiment::{Cell, Measurement};
 pub use explore::{

@@ -1,37 +1,39 @@
-//! Adversary-engine benchmark: branch-and-bound worst-case search
-//! throughput and pruning effectiveness.
+//! Adversary-engine benchmark: worst-case search throughput, the
+//! rotation quotient's effectiveness, and one shared walk against three.
 //!
 //! Two measurements per instance, both computing the **same exact
 //! worst-case total moves**:
 //!
 //! * **pruned** — the production configuration: `SymmetryMode::Rotation`
-//!   (rotation + relabeling) remaining-value memoisation plus the
-//!   admissible move-bound prune — a child whose canonical
-//!   fingerprint is already solved folds its whole subtree in `O(1)`,
-//!   and a child whose optimistic remaining-move bound cannot beat an
-//!   already-attained sibling is cut before expansion;
+//!   (rotation + relabeling) remaining-value memoisation — a child whose
+//!   canonical fingerprint is already solved folds its whole subtree in
+//!   `O(1)`;
 //! * **unpruned** — the same search over the plain (unquotiented)
-//!   configuration space (`SymmetryMode::Off`) with the bound prune
-//!   disabled: the memo only merges exact concrete re-encounters, so
-//!   every reachable concrete configuration is enumerated — the
-//!   exhaustive-enumeration baseline.
+//!   configuration space (`SymmetryMode::Off`): the memo only merges
+//!   exact concrete re-encounters, so every reachable concrete
+//!   configuration is enumerated — the exhaustive-enumeration baseline.
+//!
+//! Beside them it times, on the production configuration, one search
+//! per objective (`three_walks_ms`, three walks) against one search for
+//! all three objectives at once (`all_objectives_ms`, one walk), which
+//! is what certification runs.
 //!
 //! Gates enforced by the bench itself:
 //!
 //! * **answer identity**: both modes must report the same worst-case
-//!   value (the objective is invariant under the rotation fold, and the
-//!   bound prune is admissible; see `ringdeploy-sim::adversary` and
-//!   DESIGN.md §0.11);
+//!   value (the objective is invariant under the rotation fold; see
+//!   `ringdeploy-sim::adversary`);
 //! * **linear work**: the exact remaining-value memo expands every
 //!   distinct state at most once, so `pruned_expansions ≤
 //!   distinct_states` on every instance;
+//! * **one walk, every objective**: on every instance the all-objective
+//!   search expands exactly as many states as one single-objective
+//!   search, for each of its three answers (a count, so no time gate);
 //! * **pruning effectiveness**: on the symmetry-degree-4 instances the
 //!   pruned search must expand **≤ 1/3** of the states the unpruned
-//!   enumeration expands, on the `l = 2` instance **> 1.5×**, and on
-//!   the aperiodic (`l = 1`) full-knowledge instance — where no
-//!   symmetry fold can apply at all — the admissible move-bound prune
-//!   must fire and strictly shrink the search (measured ~1.01×; see
-//!   DESIGN.md §0.11 for why the aperiodic cut is structurally small).
+//!   enumeration expands, and on the `l = 2` instance **> 1.5×**. On
+//!   the aperiodic (`l = 1`) rows no symmetry fold can apply at all, so
+//!   the two counts are equal (see DESIGN.md §0.11).
 //!
 //! Besides the table on stdout it writes `BENCH_adversary.json` at the
 //! workspace root (published as a CI artifact), including per-instance
@@ -46,7 +48,7 @@
 
 use std::time::{Duration, Instant};
 
-use ringdeploy_analysis::{oracle_moves, worst_case_one, Adversary, Objective, WorstCase};
+use ringdeploy_analysis::{oracle_moves, worst_case_one, Adversary, Objective};
 use ringdeploy_core::Algorithm;
 use ringdeploy_sim::explore::{ExploreLimits, SymmetryMode};
 use ringdeploy_sim::InitialConfig;
@@ -63,8 +65,11 @@ struct Sample {
     unpruned_expansions: usize,
     pruned: Duration,
     unpruned: Duration,
+    /// Expansions behind each answer of the all-objective search.
+    shared_expansions: [usize; 3],
+    three_walks: Duration,
+    all_objectives: Duration,
     oracle: u64,
-    bound_prunes: u64,
 }
 
 impl Sample {
@@ -90,44 +95,46 @@ impl Sample {
     }
 }
 
-fn best_of(repeats: usize, mut run: impl FnMut() -> WorstCase) -> (WorstCase, Duration) {
+fn best_of<T>(repeats: usize, mut run: impl FnMut() -> T) -> (T, Duration) {
     let mut best = Duration::MAX;
-    let mut worst_case = None;
+    let mut last = None;
     for _ in 0..repeats {
         let start = Instant::now();
-        let w = run();
+        let result = run();
         best = best.min(start.elapsed());
-        worst_case = Some(w);
+        last = Some(result);
     }
-    (worst_case.expect("at least one repeat"), best)
+    (last.expect("at least one repeat"), best)
 }
 
 fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> Sample {
     let init = InitialConfig::new(n, homes.to_vec()).expect("valid homes");
     let limits = ExploreLimits::for_instance(n, init.agent_count());
-    let engine = |symmetry, bound_prune| {
-        Adversary::new()
-            .limits(limits)
-            .symmetry(symmetry)
-            .bound_prune(bound_prune)
-    };
+    let engine = |symmetry| Adversary::new().limits(limits).symmetry(symmetry);
+    let rotation = engine(SymmetryMode::Rotation);
     let (pruned_case, pruned) = best_of(repeats, || {
-        worst_case_one(
-            algorithm,
-            &init,
-            &engine(SymmetryMode::Rotation, true),
-            Objective::TotalMoves,
-        )
-        .expect("pruned search succeeds")
+        worst_case_one(algorithm, &init, &rotation, Objective::TotalMoves)
+            .expect("pruned search succeeds")
     });
     let (unpruned_case, unpruned) = best_of(repeats, || {
         worst_case_one(
             algorithm,
             &init,
-            &engine(SymmetryMode::Off, false),
+            &engine(SymmetryMode::Off),
             Objective::TotalMoves,
         )
         .expect("unpruned search succeeds")
+    });
+    let ((), three_walks) = best_of(repeats, || {
+        for objective in Objective::ALL {
+            worst_case_one(algorithm, &init, &rotation, objective)
+                .expect("one-objective search succeeds");
+        }
+    });
+    let (shared, all_objectives) = best_of(repeats, || {
+        algorithm
+            .worst_cases(&init, &rotation, &Objective::ALL)
+            .expect("all-objective search succeeds")
     });
     assert_eq!(
         pruned_case.value,
@@ -148,8 +155,10 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
         unpruned_expansions: unpruned_case.expansions,
         pruned,
         unpruned,
+        shared_expansions: [0, 1, 2].map(|i| shared[i].expansions),
+        three_walks,
+        all_objectives,
         oracle: oracle_moves(&init).total_moves,
-        bound_prunes: pruned_case.bound_prunes,
     }
 }
 
@@ -168,15 +177,13 @@ fn main() {
         // nonzero offline optimum, so the symmetric tier also reports a
         // real competitive ratio.
         measure(Algorithm::FullKnowledge, 8, &[0, 1, 4, 5], repeats),
-        // Aperiodic clustered worst case (l = 1): no rotation to exploit —
-        // the admissible move-bound prune carries the whole cut here,
-        // gated on the full-knowledge row.
+        // Aperiodic clustered worst case (l = 1): no rotation to exploit.
         measure(Algorithm::FullKnowledge, 12, &[0, 1, 2, 3], repeats),
         measure(Algorithm::Relaxed, 12, &[0, 1, 2, 3], repeats),
     ];
 
     println!(
-        "{:>8} {:>4} {:>3} {:>3} {:>7} {:>8} {:>9} {:>9} {:>9} {:>9} {:>7} {:>10}",
+        "{:>8} {:>4} {:>3} {:>3} {:>7} {:>8} {:>9} {:>9} {:>9} {:>9} {:>7} {:>10} {:>9} {:>9}",
         "algo",
         "n",
         "k",
@@ -188,11 +195,14 @@ fn main() {
         "prune_ms",
         "full_ms",
         "ratio",
-        "kstates/s"
+        "kstates/s",
+        "3walk_ms",
+        "all_ms"
     );
     for s in &samples {
         println!(
-            "{:>8} {:>4} {:>3} {:>3} {:>7} {:>8} {:>9} {:>9} {:>9.2} {:>9.2} {:>6.2}x {:>10.1}",
+            "{:>8} {:>4} {:>3} {:>3} {:>7} {:>8} {:>9} {:>9} {:>9.2} {:>9.2} {:>6.2}x {:>10.1} \
+             {:>9.2} {:>9.2}",
             s.algo,
             s.n,
             s.k,
@@ -205,6 +215,8 @@ fn main() {
             s.unpruned.as_secs_f64() * 1e3,
             s.pruning_ratio(),
             s.states_per_sec() / 1e3,
+            s.three_walks.as_secs_f64() * 1e3,
+            s.all_objectives.as_secs_f64() * 1e3,
         );
     }
 
@@ -220,9 +232,10 @@ fn main() {
                  \"worst_moves\": {}, \"witness_len\": {}, \"oracle_moves\": {}, \
                  \"already_uniform\": {}, \"competitive_ratio\": {competitive}, \
                  \"distinct_states\": {}, \"pruned_expansions\": {}, \
-                 \"unpruned_expansions\": {}, \"bound_prunes\": {}, \
+                 \"unpruned_expansions\": {}, \
                  \"pruning_ratio\": {:.2}, \"pruned_ms\": {:.3}, \"unpruned_ms\": {:.3}, \
-                 \"states_per_sec\": {:.0}}}",
+                 \"states_per_sec\": {:.0}, \"three_walks_ms\": {:.3}, \
+                 \"all_objectives_ms\": {:.3}}}",
                 s.algo,
                 s.n,
                 s.k,
@@ -234,11 +247,12 @@ fn main() {
                 s.distinct_states,
                 s.pruned_expansions,
                 s.unpruned_expansions,
-                s.bound_prunes,
                 s.pruning_ratio(),
                 s.pruned.as_secs_f64() * 1e3,
                 s.unpruned.as_secs_f64() * 1e3,
                 s.states_per_sec(),
+                s.three_walks.as_secs_f64() * 1e3,
+                s.all_objectives.as_secs_f64() * 1e3,
             )
         })
         .collect();
@@ -264,6 +278,20 @@ fn main() {
             s.pruned_expansions,
             s.distinct_states
         );
+    }
+
+    // One walk, every objective: the all-objective search walks the same
+    // graph as a single-objective one, so each of its answers reports
+    // exactly the expansions of the moves search on the same engine.
+    for s in &samples {
+        for (objective, expansions) in Objective::ALL.into_iter().zip(s.shared_expansions) {
+            assert_eq!(
+                expansions, s.pruned_expansions,
+                "the all-objective search must expand exactly what one search expands \
+                 on {} n={} ({objective})",
+                s.algo, s.n
+            );
+        }
     }
 
     // Label honesty: `already_uniform` (l = k, equally spaced homes) must
@@ -298,8 +326,7 @@ fn main() {
     }
 
     // The intermediate tier: on the periodic-but-clustered l = 2
-    // instance the quotient alone (no move bound applies to its mixed
-    // phases) must still halve the enumeration's work.
+    // instance the quotient must still halve the enumeration's work.
     for s in samples.iter().filter(|s| s.symmetry_degree == 2) {
         assert!(
             s.pruning_ratio() > 1.5,
@@ -311,34 +338,4 @@ fn main() {
             s.pruning_ratio()
         );
     }
-
-    // The former blind spot: on the aperiodic (l = 1) full-knowledge
-    // instance no symmetry fold can apply (rotating a reachable state
-    // yields a state of a *different* initial configuration), so the
-    // admissible move-bound prune is the only
-    // lever — and the FIFO queue-blocking that keeps the state space
-    // small in the first place also keeps the all-agents-deployed
-    // region (where the bound is exact) thin. Gate what the subsystem
-    // guarantees: the prune fires, it strictly shrinks the expansion
-    // count, and (asserted in `measure`) it never changes the value.
-    // Measured: ~1.01× on this row; see DESIGN.md §0.11 for why a large
-    // aperiodic quotient is structurally out of reach.
-    let blind_spot = samples
-        .iter()
-        .find(|s| s.symmetry_degree == 1 && s.algo == Algorithm::FullKnowledge.name())
-        .expect("the aperiodic full-knowledge row is in the sample set");
-    assert!(
-        blind_spot.bound_prunes > 0,
-        "the move-bound prune must fire on the aperiodic {} n={} row",
-        blind_spot.algo,
-        blind_spot.n
-    );
-    assert!(
-        blind_spot.pruned_expansions < blind_spot.unpruned_expansions,
-        "the prune must strictly shrink the aperiodic {} n={} search: {} vs {}",
-        blind_spot.algo,
-        blind_spot.n,
-        blind_spot.pruned_expansions,
-        blind_spot.unpruned_expansions
-    );
 }

@@ -18,7 +18,7 @@
 //! `⌊n/k⌋` for the rest (see [`SpacingPlan`]).
 
 use ringdeploy_seq::{min_rotation, symmetry_degree};
-use ringdeploy_sim::{bits_for, Action, Behavior, LinkDiscipline, Observation};
+use ringdeploy_sim::{bits_for, Action, Behavior, Observation};
 
 use crate::spacing::SpacingPlan;
 
@@ -238,41 +238,6 @@ impl Behavior for FullKnowledge {
             State::Deployment { .. } => "deployment",
             State::Done => "done",
         }
-    }
-
-    fn max_remaining_moves(&self, n: usize, discipline: LinkDiscipline) -> Option<u64> {
-        // Under FIFO, every home's initial agent heads its own arrival
-        // queue, so a token is always released before any other agent can
-        // pass that home: the selection circuit is *exactly* `n` hops and
-        // the recorded distances are exact. Under LIFO a mover can
-        // overtake a not-yet-booted agent, miss its token and need extra
-        // laps, so no tight bound exists — decline to prune.
-        if discipline != LinkDiscipline::Fifo {
-            return None;
-        }
-        let n = n as u64;
-        Some(match &self.state {
-            // Circuit (n) plus the deployment walk R = disBase + offset ≤
-            // (n−1) + (n−1): at most 3n − 2 hops in total.
-            State::Boot => (3 * n).saturating_sub(2),
-            State::Selection { dis, d } => {
-                // Hops already spent on the circuit; the remainder is
-                // exactly `n − spent` under FIFO (saturating only as a
-                // defensive measure — stored states satisfy spent < n).
-                // The circuit-completing activation already takes the
-                // first of the ≤ 2n − 2 deployment hops, so the walk
-                // adds at most 2n − 3 further moves.
-                let spent = dis + d.iter().sum::<u64>();
-                n.saturating_sub(spent) + (2 * n).saturating_sub(3)
-            }
-            // `Deployment { remaining }` is stored *after* a move was
-            // taken, and the final activation (remaining == 1) halts
-            // without moving: exactly `remaining − 1` moves are left.
-            // Exactness here is what lets the adversary's bound prune
-            // collapse the deployment-interleaving lattice to one chain.
-            State::Deployment { remaining } => remaining.saturating_sub(1),
-            State::Done => 0,
-        })
     }
 }
 

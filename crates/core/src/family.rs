@@ -160,7 +160,7 @@ pub fn explore_terminal_ok(check: &DeploymentCheck) -> bool {
 /// instance and erased behind an object-safe surface: what
 /// [`ProblemFamily::rules`] returns, and what the provided
 /// [`deploy`](ProblemFamily::deploy), [`explore`](ProblemFamily::explore)
-/// and [`worst_case`](ProblemFamily::worst_case) run. Build one with
+/// and [`worst_cases`](ProblemFamily::worst_cases) run. Build one with
 /// [`rules`].
 pub trait FamilyRules {
     /// See [`ProblemFamily::deploy`].
@@ -182,17 +182,17 @@ pub trait FamilyRules {
         engine: ExploreEngine,
     ) -> Result<ExploreReport, ExploreErrorKind>;
 
-    /// See [`ProblemFamily::worst_case`].
+    /// See [`ProblemFamily::worst_cases`].
     ///
     /// # Errors
     ///
     /// See [`AdversaryError`].
-    fn worst_case(
+    fn worst_cases(
         &self,
         init: &InitialConfig,
         adversary: &Adversary,
-        objective: Objective,
-    ) -> Result<WorstCase, AdversaryError>;
+        objectives: &[Objective],
+    ) -> Result<Vec<WorstCase>, AdversaryError>;
 }
 
 /// The [`FamilyRules`] of a behavior constructor `make` and a success
@@ -242,13 +242,13 @@ where
             .map_err(|e| e.kind())
         }
 
-        fn worst_case(
+        fn worst_cases(
             &self,
             init: &InitialConfig,
             adversary: &Adversary,
-            objective: Objective,
-        ) -> Result<WorstCase, AdversaryError> {
-            adversary.run(&Ring::new(init, |_| (self.make)()), objective)
+            objectives: &[Objective],
+        ) -> Result<Vec<WorstCase>, AdversaryError> {
+            adversary.run_all(&Ring::new(init, |_| (self.make)()), objectives)
         }
     }
 
@@ -319,8 +319,24 @@ pub trait ProblemFamily: Send + Sync {
         self.rules(init).explore(init, explorer, engine)
     }
 
-    /// Finds the exact adversarial worst case of `objective` on one
-    /// instance via branch-and-bound over the reversible engine.
+    /// Finds the exact adversarial worst case of every objective in
+    /// `objectives` on one instance from one search over the reversible
+    /// engine ([`Adversary::run_all`]): one [`WorstCase`] per entry, in
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// See [`AdversaryError`]; one error stands for every objective.
+    fn worst_cases(
+        &self,
+        init: &InitialConfig,
+        adversary: &Adversary,
+        objectives: &[Objective],
+    ) -> Result<Vec<WorstCase>, AdversaryError> {
+        self.rules(init).worst_cases(init, adversary, objectives)
+    }
+
+    /// [`worst_cases`](ProblemFamily::worst_cases) for one objective.
     ///
     /// # Errors
     ///
@@ -331,7 +347,8 @@ pub trait ProblemFamily: Send + Sync {
         adversary: &Adversary,
         objective: Objective,
     ) -> Result<WorstCase, AdversaryError> {
-        self.rules(init).worst_case(init, adversary, objective)
+        let mut worst = self.worst_cases(init, adversary, &[objective])?;
+        Ok(worst.pop().expect("one worst case per objective"))
     }
 
     /// The recorded paper bound for `objective` at an `(n, k, l)`

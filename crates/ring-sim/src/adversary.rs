@@ -1,4 +1,4 @@
-//! Worst-case schedule synthesis — a branch-and-bound adversary over the
+//! Worst-case schedule synthesis — an exact adversary over the
 //! reversible engine.
 //!
 //! The exhaustive explorer ([`crate::explore`]) answers *qualitative*
@@ -14,11 +14,12 @@
 //!
 //! # The search
 //!
-//! A depth-first branch-and-bound over the configuration graph. It has
-//! no loop of its own: [`Adversary::run`] hands the explorer's walker
-//! (the one reversible DFS in [`crate::explore`]) the gain of a step,
-//! how gains combine and when to skip a child, then rebuilds the witness
-//! from the walker's visited map.
+//! A depth-first dynamic program over the configuration graph. It has
+//! no loop of its own: [`Adversary::run_all`] hands the explorer's
+//! walker (the one reversible DFS in [`crate::explore`]) the gains of a
+//! step and how they combine, for every requested objective at once,
+//! then rebuilds one witness per objective from the walker's visited
+//! map. [`Adversary::run`] is `run_all` with one objective.
 //!
 //! * children are generated in place with the reversible
 //!   [`Ring::apply`]/[`Ring::undo`] pair (no per-child clone), the
@@ -26,23 +27,19 @@
 //!   canonical fingerprints are maintained incrementally (≤ 2 node
 //!   symbols re-derived per step);
 //! * the walker's one visited map memoises, per fingerprint, the exact
-//!   **maximum-remaining value** `rem(C)`: the most the objective can
-//!   still gain over any fair schedule from `C` to quiescence,
-//!   computed bottom-up when the DFS pops the state. A child whose
-//!   fingerprint is already solved folds its entire subtree in `O(1)` —
-//!   its contribution is `combine(gain, rem)` — so **every distinct
-//!   state is expanded exactly once**, and the search degenerates to a
+//!   **maximum-remaining value** `rem(C)` of every requested objective:
+//!   the most the objective can still gain over any fair schedule from
+//!   `C` to quiescence, computed bottom-up when the DFS pops the state.
+//!   The three values share the map's one `u64` value word as 21-bit
+//!   fields, and a value that does not fit escapes to a side table (see
+//!   [`crate::explore`]). A child whose fingerprint is already solved
+//!   folds its entire subtree in `O(1)` — its contribution is
+//!   `combine(gain, rem)` per objective — so **every distinct state is
+//!   expanded exactly once**, and the search degenerates to a
 //!   linear-in-states dynamic program over the configuration DAG;
-//! * for [`Objective::TotalMoves`] on fault-free plans, an **admissible
-//!   upper bound** ([`Ring::max_remaining_moves`], the sum of the
-//!   per-agent [`Behavior::max_remaining_moves`] hints) cuts children
-//!   whose `gain + bound` cannot beat a value a solved sibling already
-//!   attained — such subtrees are skipped before they are ever
-//!   fingerprint-counted (reported as
-//!   [`WorstCase::bound_prunes`]). The cut never drops the maximum:
-//!   the bound over-approximates the child's true remaining value, and
-//!   the attaining sibling is already memoised, so both the Bellman
-//!   value and the witness descent survive intact.
+//! * nothing is cut: the search visits exactly the explorer's reachable
+//!   space, whichever objectives it serves, so one walk can serve all
+//!   three.
 //!
 //! # Why remaining-value memoisation is exact
 //!
@@ -109,7 +106,7 @@ use std::hash::Hash;
 use crate::agent::Behavior;
 use crate::engine::{Ring, StepUndo};
 use crate::error::SimError;
-use crate::explore::{ExploreErrorKind, ExploreLimits, Search, SymmetryMode, Walker};
+use crate::explore::{ExploreErrorKind, ExploreLimits, Remaining, Search, SymmetryMode, Walker};
 use crate::scheduler::Activation;
 
 /// The quantity the adversarial schedule maximises — the paper's three
@@ -130,13 +127,19 @@ pub enum Objective {
 }
 
 impl Objective {
-    /// All objectives, in Table-1 order (memory, —, moves ordered as
-    /// moves, activations, memory here for search-cost reasons).
+    /// All objectives: moves, activations, memory. A certify batch
+    /// emits its rows in this order, and a shared search keeps each
+    /// objective's remaining value in the slot of its position here.
     pub const ALL: [Objective; 3] = [
         Objective::TotalMoves,
         Objective::TotalActivations,
         Objective::PeakMemoryBits,
     ];
+
+    /// The objective's position in [`Objective::ALL`].
+    fn slot(self) -> usize {
+        self as usize
+    }
 
     /// A stable machine-readable name (used by the CLI and JSON reports).
     pub fn name(self) -> &'static str {
@@ -200,7 +203,8 @@ pub struct WorstCase {
     pub terminal_fingerprint: u64,
     /// Distinct configurations entered into the visited map (rotation
     /// classes under [`SymmetryMode::Rotation`]) — the reachable state
-    /// count, equal to what the explorer reports for the same mode.
+    /// count, equal to what the explorer reports for the same mode, for
+    /// every objective.
     pub distinct_states: usize,
     /// State expansions performed. The remaining-value memo solves each
     /// state the first time it is reached, so a completed search
@@ -211,12 +215,9 @@ pub struct WorstCase {
     /// fingerprint was already solved, so the whole subtree contributed
     /// `combine(gain, rem)` in `O(1)` instead of being re-walked.
     pub dominance_prunes: u64,
-    /// Children cut by the admissible upper bound
-    /// ([`Ring::max_remaining_moves`]): `gain + bound ≤` a value a
-    /// solved sibling already attained, so the subtree was skipped
-    /// without ever being fingerprint-counted. Only the
-    /// [`Objective::TotalMoves`] objective on fault-free plans prunes
-    /// this way; everywhere else this stays `0`.
+    /// Always `0`: the search cuts no subtree. Kept, with its JSON key,
+    /// because the end-to-end benchmark (`e2ebench`) still reads it; it
+    /// goes once that reader does.
     pub bound_prunes: u64,
     /// Terminal (quiescent) configurations encountered, counting memo
     /// re-encounters along different paths.
@@ -256,50 +257,40 @@ impl std::fmt::Display for AdversaryError {
 impl std::error::Error for AdversaryError {}
 
 /// The adversary's side of the [`Walker`]: the gain and `combine` of the
-/// module docs for one objective, and the move-bound prune when armed.
-/// The Bellman values and the witness descent both ask it, so the two
-/// cannot drift apart.
+/// module docs, for every objective the walk serves, one slot per
+/// [`Objective::ALL`] entry. The Bellman values and the witness descents
+/// both ask it, so the two cannot drift apart.
 struct Worst {
-    objective: Objective,
-    bound_prune: bool,
+    /// Which slots the walk computes; the others keep gain 0 and so
+    /// remaining value 0.
+    wanted: [bool; 3],
 }
 
 impl<B: Behavior> Search<B> for Worst {
-    /// `gain(a, C)` of the module docs, read off the step's undo record
-    /// and the ring it left behind.
-    fn gain(&self, ring: &Ring<B>, act: Activation, undo: &StepUndo<B>) -> u64 {
-        match self.objective {
-            Objective::TotalMoves => u64::from(undo.moved_to(ring.ring_size()).is_some()),
-            Objective::TotalActivations => 1,
+    type Value = [u64; 3];
+
+    /// `gain(a, C)` of the module docs per slot, read off the step's
+    /// undo record and the ring it left behind.
+    fn gain(&self, ring: &Ring<B>, act: Activation, undo: &StepUndo<B>) -> [u64; 3] {
+        let [moves, activations, memory] = self.wanted;
+        [
+            u64::from(moves && undo.moved_to(ring.ring_size()).is_some()),
+            u64::from(activations),
             // The acting agent's post-step memory observation: the only
             // way the watermark can rise on this step. Fault moves have
             // no acting agent and observe nothing.
-            Objective::PeakMemoryBits => {
-                if act.is_fault() {
-                    0
-                } else {
-                    ring.behavior(act.agent).memory_bits() as u64
-                }
-            }
+            if memory && !act.is_fault() {
+                ring.behavior(act.agent).memory_bits() as u64
+            } else {
+                0
+            },
+        ]
+    }
+
+    fn fold(&self, best: &mut [u64; 3], gain: [u64; 3], rest: [u64; 3]) {
+        for (slot, objective) in Objective::ALL.into_iter().enumerate() {
+            best[slot] = best[slot].max(objective.combine(gain[slot], rest[slot]));
         }
-    }
-
-    fn combine(&self, gain: u64, rest: u64) -> u64 {
-        self.objective.combine(gain, rest)
-    }
-
-    /// Admissible prune: even if every remaining move the child's agents
-    /// can make counts, the subtree cannot beat a value a solved sibling
-    /// already attains. `best > 0` certifies that such a sibling exists
-    /// (`best` starts at 0 and only solved children raise it); the
-    /// witness descent relies on it when it passes the never-walked
-    /// child by.
-    fn skip(&self, ring: &Ring<B>, gain: u64, best: u64) -> bool {
-        self.bound_prune
-            && best > 0
-            && ring
-                .max_remaining_moves()
-                .is_some_and(|ub| self.objective.combine(gain, ub) <= best)
     }
 }
 
@@ -309,7 +300,6 @@ impl<B: Behavior> Search<B> for Worst {
 pub struct Adversary {
     limits: ExploreLimits,
     symmetry: SymmetryMode,
-    bound_prune: bool,
 }
 
 impl Default for Adversary {
@@ -326,7 +316,6 @@ impl Adversary {
         Adversary {
             limits: ExploreLimits::default(),
             symmetry: SymmetryMode::default(),
-            bound_prune: true,
         }
     }
 
@@ -338,7 +327,7 @@ impl Adversary {
 
     /// Selects the memoisation quotient (default:
     /// [`SymmetryMode::Rotation`]). [`SymmetryMode::Off`] memoises only
-    /// exact (plain-fingerprint) re-encounters — the *unpruned
+    /// exact (plain-fingerprint) re-encounters — the *unquotiented
     /// enumeration* baseline the `adversary_scale` bench compares
     /// against; both modes compute the same maximum (the objectives are
     /// rotation-invariant).
@@ -347,20 +336,9 @@ impl Adversary {
         self
     }
 
-    /// Enables or disables the admissible move-bound prune (default:
-    /// enabled). The prune only ever arms itself for
-    /// [`Objective::TotalMoves`] on fault-free plans, and only cuts when
-    /// the behaviors provide [`Behavior::max_remaining_moves`] hints;
-    /// disabling it forces the search to enumerate the full reachable
-    /// space, which the coverage tests and the `adversary_scale` bench
-    /// baselines rely on.
-    pub fn bound_prune(mut self, enabled: bool) -> Self {
-        self.bound_prune = enabled;
-        self
-    }
-
     /// Finds the exact worst case of `objective` over every fair schedule
-    /// of `ring`, with a replayable witness.
+    /// of `ring`, with a replayable witness: [`Adversary::run_all`] with
+    /// one objective.
     ///
     /// # Errors
     ///
@@ -370,22 +348,34 @@ impl Adversary {
         B: Behavior + Clone + Hash,
         B::Message: Clone + Hash,
     {
+        let mut worst = self.run_all(ring, &[objective])?;
+        Ok(worst.pop().expect("one worst case per objective"))
+    }
+
+    /// Finds the exact worst case of every objective in `objectives` from
+    /// **one** walk of `ring`'s configuration graph: one [`WorstCase`]
+    /// per entry, in order, each with its own witness descent. Each
+    /// equals what [`Adversary::run`] returns for that objective, search
+    /// counters included, because the walk is the same whatever it
+    /// serves. A repeated objective is solved once and its worst case
+    /// repeated; an empty list still walks the graph (so it still
+    /// reports cycles and limits) and returns no worst case.
+    ///
+    /// # Errors
+    ///
+    /// See [`AdversaryError`]; one error stands for every objective.
+    pub fn run_all<B>(
+        &self,
+        ring: &Ring<B>,
+        objectives: &[Objective],
+    ) -> Result<Vec<WorstCase>, AdversaryError>
+    where
+        B: Behavior + Clone + Hash,
+        B::Message: Clone + Hash,
+    {
         let mut walker = Walker::new(ring, self.symmetry);
-        let root_acc = match objective {
-            Objective::PeakMemoryBits => walker.ring.metrics().peak_memory_bits() as u64,
-            _ => 0,
-        };
-        // The move-bound prune is admissible only when the per-agent
-        // hints are: [`Behavior::max_remaining_moves`] promises a bound
-        // under *fault-free* schedules (a crash elsewhere can strand an
-        // algorithm's termination condition and make it walk longer), so
-        // the prune arms only for the moves objective on fault-free
-        // plans. Other objectives have no per-agent bound at all.
         let mut worst = Worst {
-            objective,
-            bound_prune: self.bound_prune
-                && objective == Objective::TotalMoves
-                && walker.ring.fault_plan().is_empty(),
+            wanted: Objective::ALL.map(|o| objectives.contains(&o)),
         };
         let root_rem = walker.walk(self.limits, &mut worst).map_err(|e| match e {
             ExploreErrorKind::CycleDetected { depth } => AdversaryError::CycleDetected { depth },
@@ -394,64 +384,100 @@ impl Adversary {
                 unreachable!("the adversary accepts every terminal")
             }
         })?;
-
-        // Witness reconstruction: the walk left the ring at the root and
-        // the remaining value of every reachable state it did not skip
-        // in the map. Descend greedily along children attaining the
-        // Bellman maximum; the path is an enabled-activation sequence by
-        // construction, hence replayable.
-        let Walker {
-            ring: cur,
-            cache,
-            visited,
-            stats,
-        } = &mut walker;
-        let mut witness = Vec::new();
-        let mut need = root_rem;
-        let terminal_fingerprint = loop {
-            if cur.enabled_activations().is_empty() {
-                break cache.fingerprint(cur);
+        let root_peak = walker.ring.metrics().peak_memory_bits() as u64;
+        let stats = walker.stats;
+        let mut solved: Vec<WorstCase> = Vec::with_capacity(objectives.len());
+        for &objective in objectives {
+            if let Some(same) = solved.iter().find(|w| w.objective == objective) {
+                solved.push(same.clone());
+                continue;
             }
-            let acts: Vec<Activation> = cur.enabled_activations().to_vec();
-            let mut advanced = false;
-            for act in acts {
-                let undo = cur.apply(act);
-                let patch = cache.patch(cur, &undo);
-                let fp = cache.fingerprint(cur);
-                let gain = worst.gain(cur, act, &undo);
-                // A child absent from the map was bound-pruned (never
-                // walked): the prune certified a solved sibling attains
-                // at least its best possible contribution, so skipping
-                // it cannot lose the Bellman optimum.
-                if let Some(&rem) = visited.get(&fp) {
-                    if objective.combine(gain, rem) == need {
-                        witness.push(act);
-                        need = rem;
-                        advanced = true;
-                        break;
-                    }
-                }
-                cache.revert(patch);
-                cur.undo(undo);
-            }
-            assert!(
-                advanced,
-                "witness descent must follow the Bellman optimum (rem is exact)"
-            );
-        };
-        Ok(WorstCase {
-            objective,
-            value: objective.combine(root_acc, root_rem),
-            witness,
-            terminal_fingerprint,
-            distinct_states: stats.states,
-            expansions: stats.states,
-            dominance_prunes: stats.memo_hits,
-            bound_prunes: stats.skipped,
-            terminal_hits: stats.terminal_hits,
-            max_depth_seen: stats.max_depth_seen,
-        })
+            let slot = objective.slot();
+            let (witness, terminal_fingerprint) =
+                descend(&mut walker, &worst, objective, root_rem[slot]);
+            // The peak objective starts from the initial watermark; the
+            // additive ones count from the start configuration.
+            let root_acc = match objective {
+                Objective::PeakMemoryBits => root_peak,
+                _ => 0,
+            };
+            solved.push(WorstCase {
+                objective,
+                value: objective.combine(root_acc, root_rem[slot]),
+                witness,
+                terminal_fingerprint,
+                distinct_states: stats.states,
+                expansions: stats.states,
+                dominance_prunes: stats.memo_hits,
+                bound_prunes: 0,
+                terminal_hits: stats.terminal_hits,
+                max_depth_seen: stats.max_depth_seen,
+            });
+        }
+        Ok(solved)
     }
+}
+
+/// Witness reconstruction for `objective`, whose root remaining value is
+/// `root_rem`: descends from the root along the first
+/// child attaining the Bellman maximum, reading the remaining values the
+/// walk left in the map, and returns the picks and the fingerprint of the
+/// terminal they end in. The path is an enabled-activation sequence by
+/// construction, hence replayable. The ring is back at the root
+/// afterwards, ready for the next objective's descent.
+fn descend<B>(
+    walker: &mut Walker<B, [u64; 3]>,
+    worst: &Worst,
+    objective: Objective,
+    root_rem: u64,
+) -> (Vec<Activation>, u64)
+where
+    B: Behavior + Clone + Hash,
+    B::Message: Clone + Hash,
+{
+    let slot = objective.slot();
+    let Walker {
+        ring: cur,
+        cache,
+        visited,
+        escapes,
+        ..
+    } = walker;
+    let mut witness = Vec::new();
+    let mut path = Vec::new();
+    let mut need = root_rem;
+    let terminal_fingerprint = loop {
+        if cur.enabled_activations().is_empty() {
+            break cache.fingerprint(cur);
+        }
+        let acts: Vec<Activation> = cur.enabled_activations().to_vec();
+        let mut advanced = false;
+        for act in acts {
+            let undo = cur.apply(act);
+            let patch = cache.patch(cur, &undo);
+            let fp = cache.fingerprint(cur);
+            let gain = worst.gain(cur, act, &undo)[slot];
+            let rem = <[u64; 3]>::unpack(visited[&fp], escapes)[slot];
+            if objective.combine(gain, rem) == need {
+                witness.push(act);
+                path.push((undo, patch));
+                need = rem;
+                advanced = true;
+                break;
+            }
+            cache.revert(patch);
+            cur.undo(undo);
+        }
+        assert!(
+            advanced,
+            "witness descent must follow the Bellman optimum (rem is exact)"
+        );
+    };
+    while let Some((undo, patch)) = path.pop() {
+        cache.revert(patch);
+        cur.undo(undo);
+    }
+    (witness, terminal_fingerprint)
 }
 
 mod json_impls {
@@ -547,14 +573,11 @@ mod tests {
     }
 
     /// Stops early if it ever observes another staying agent at its node —
-    /// so the schedule genuinely changes the move count. When `hinted`,
-    /// it also reports its remaining hop budget as a move bound, arming
-    /// the adversary's admissible prune.
+    /// so the schedule genuinely changes the move count.
     #[derive(Clone, Hash, PartialEq, Eq)]
     struct Shy {
         hops: usize,
         released: bool,
-        hinted: bool,
     }
 
     impl Behavior for Shy {
@@ -570,14 +593,6 @@ mod tests {
         }
         fn memory_bits(&self) -> usize {
             8
-        }
-        fn max_remaining_moves(
-            &self,
-            _n: usize,
-            _discipline: crate::LinkDiscipline,
-        ) -> Option<u64> {
-            // The hop budget bounds moves under any discipline.
-            self.hinted.then_some(self.hops as u64)
         }
     }
 
@@ -611,7 +626,6 @@ mod tests {
         let make = |_| Shy {
             hops: 3,
             released: false,
-            hinted: true,
         };
         let ring = Ring::new(&init, make);
         let worst = Adversary::new()
@@ -640,7 +654,6 @@ mod tests {
         let ring = Ring::new(&init, |_| Shy {
             hops: 4,
             released: false,
-            hinted: false,
         });
         for objective in Objective::ALL {
             let plain = Adversary::new()
@@ -660,74 +673,91 @@ mod tests {
     }
 
     #[test]
-    fn bound_prune_preserves_value_and_witness() {
-        // Same instance solved with and without the per-agent move hint:
-        // identical worst value, a replayable witness, and the hinted run
-        // must actually cut subtrees.
-        let init = InitialConfig::new(5, vec![0, 1, 3]).expect("valid");
-        let make_hinted = |_| Shy {
-            hops: 4,
-            released: false,
-            hinted: true,
-        };
-        let hinted_ring = Ring::new(&init, make_hinted);
-        let plain_ring = Ring::new(&init, |_| Shy {
-            hops: 4,
-            released: false,
-            hinted: false,
-        });
-        for symmetry in [SymmetryMode::Off, SymmetryMode::Rotation] {
-            let pruned = Adversary::new()
-                .symmetry(symmetry)
-                .run(&hinted_ring, Objective::TotalMoves)
-                .expect("hinted search");
-            let exact = Adversary::new()
-                .symmetry(symmetry)
-                .run(&plain_ring, Objective::TotalMoves)
-                .expect("hintless search");
-            assert_eq!(exact.bound_prunes, 0, "no hint, no prune");
-            assert_eq!(
-                pruned.value, exact.value,
-                "{symmetry:?}: prune must be lossless"
-            );
-            assert!(
-                pruned.bound_prunes > 0,
-                "{symmetry:?}: the hint must actually cut subtrees"
-            );
-            assert!(
-                pruned.expansions <= exact.expansions,
-                "{symmetry:?}: pruning can only shrink the expansion count"
-            );
-
-            let mut replay_ring = Ring::new(&init, make_hinted);
-            let outcome = replay_ring
-                .run(
-                    &mut Replay::new(pruned.witness.clone()),
-                    RunLimits::default(),
-                )
-                .expect("witness replays");
-            assert!(outcome.quiescent);
-            assert_eq!(outcome.metrics.total_moves(), pruned.value);
-        }
-    }
-
-    #[test]
-    fn bound_prune_is_disabled_for_other_objectives() {
+    fn repeated_objectives_are_answered_in_request_order() {
         let init = InitialConfig::new(5, vec![0, 1, 3]).expect("valid");
         let ring = Ring::new(&init, |_| Shy {
             hops: 4,
             released: false,
-            hinted: true,
         });
-        for objective in [Objective::TotalActivations, Objective::PeakMemoryBits] {
-            let worst = Adversary::new()
-                .run(&ring, objective)
-                .expect("search succeeds");
-            assert_eq!(
-                worst.bound_prunes, 0,
-                "{objective}: the hint only bounds moves"
-            );
+        for symmetry in [SymmetryMode::Off, SymmetryMode::Rotation] {
+            let adversary = Adversary::new().symmetry(symmetry);
+            let memory = adversary
+                .run(&ring, Objective::PeakMemoryBits)
+                .expect("one search");
+            let moves = adversary
+                .run(&ring, Objective::TotalMoves)
+                .expect("one search");
+            let repeated = adversary
+                .run_all(
+                    &ring,
+                    &[
+                        Objective::PeakMemoryBits,
+                        Objective::TotalMoves,
+                        Objective::PeakMemoryBits,
+                    ],
+                )
+                .expect("repeated objectives");
+            assert_eq!(repeated, [memory.clone(), moves, memory], "{symmetry:?}");
         }
+    }
+
+    /// A walker whose memory grows past 2²¹ bits with every hop.
+    #[derive(Clone, Hash, PartialEq, Eq)]
+    struct Hoarder {
+        hops: usize,
+        released: bool,
+    }
+
+    impl Behavior for Hoarder {
+        type Message = ();
+        fn act(&mut self, _obs: &Observation<'_, ()>) -> Action<()> {
+            let release = !std::mem::replace(&mut self.released, true);
+            if self.hops < 3 {
+                self.hops += 1;
+                Action::moving().with_token_release(release)
+            } else {
+                Action::halting().with_token_release(release)
+            }
+        }
+        fn memory_bits(&self) -> usize {
+            (1 << 21) + self.hops
+        }
+    }
+
+    #[test]
+    fn a_walk_with_wide_remaining_values_escapes_and_stays_exact() {
+        let init = InitialConfig::new(6, vec![0, 1]).expect("valid");
+        let make = |_| Hoarder {
+            hops: 0,
+            released: false,
+        };
+        let ring = Ring::new(&init, make);
+        // The initial watermark is 2^21: only the remaining values the
+        // walk memoised (up to 2^21 + 3) can lift it to the answer.
+        let worst = Adversary::new()
+            .run_all(&ring, &Objective::ALL)
+            .expect("search succeeds");
+        let memory = &worst[2];
+        assert_eq!(memory.value, (1 << 21) + 3);
+        assert_eq!(worst[0].value, 6);
+        let mut replay_ring = Ring::new(&init, make);
+        let outcome = replay_ring
+            .run(
+                &mut Replay::new(memory.witness.clone()),
+                RunLimits::default(),
+            )
+            .expect("witness replays");
+        assert!(outcome.quiescent);
+        assert_eq!(outcome.metrics.peak_memory_bits() as u64, memory.value);
+
+        // The same walk, driven directly: wide values went to the table.
+        let mut walker =
+            crate::explore::Walker::<Hoarder, [u64; 3]>::new(&ring, SymmetryMode::Rotation);
+        let root = walker
+            .walk(ExploreLimits::default(), &mut Worst { wanted: [true; 3] })
+            .expect("walk succeeds");
+        assert_eq!(root[2], (1 << 21) + 3);
+        assert!(!walker.escapes.is_empty(), "wide values must escape");
     }
 
     /// An agent that ping-pongs between Ready-stay states forever.
@@ -752,6 +782,8 @@ mod tests {
             .run(&ring, Objective::TotalActivations)
             .unwrap_err();
         assert!(matches!(err, AdversaryError::CycleDetected { .. }), "{err}");
+        // One cycle stands for every objective of a shared search.
+        assert_eq!(Adversary::new().run_all(&ring, &Objective::ALL), Err(err));
     }
 
     #[test]

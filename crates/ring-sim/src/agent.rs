@@ -2,7 +2,6 @@
 //! [`Observation`] an agent receives at each activation.
 
 use crate::action::Action;
-use crate::engine::LinkDiscipline;
 
 /// Everything an agent can observe during one atomic action.
 ///
@@ -79,29 +78,6 @@ pub trait Behavior {
     /// traces and renders (e.g. `"selection"`, `"patrolling"`).
     fn phase_name(&self) -> &'static str {
         "-"
-    }
-
-    /// An **admissible upper bound** on the number of `Move` actions this
-    /// agent will still take, from its current state, under *any*
-    /// fault-free schedule on an `n`-node ring with the given link
-    /// `discipline` — or `None` when the algorithm cannot bound it.
-    ///
-    /// "Admissible" is a hard contract: no such schedule may make the
-    /// agent move more than this many times. The adversary's
-    /// branch-and-bound ([`crate::adversary`]) uses the sum over agents
-    /// to prune subtrees that provably cannot beat the best total
-    /// already found; an over-optimistic (too small) bound silently
-    /// truncates worst cases, which the dominance tests would catch as a
-    /// lost maximum. The discipline matters: under
-    /// [`LinkDiscipline::Lifo`] a mover can overtake a not-yet-booted
-    /// agent and miss its token, so circuit-counting algorithms whose
-    /// FIFO bound is tight must return `None` (or a much weaker bound)
-    /// for LIFO.
-    ///
-    /// The default is `None` (no pruning), always safe.
-    fn max_remaining_moves(&self, n: usize, discipline: LinkDiscipline) -> Option<u64> {
-        let _ = (n, discipline);
-        None
     }
 }
 

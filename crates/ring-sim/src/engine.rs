@@ -1865,31 +1865,6 @@ impl<B: Behavior> Ring<B> {
         h.finish() | 1
     }
 
-    /// An admissible upper bound on the total number of `Move` actions the
-    /// whole configuration can still produce under any schedule — the sum
-    /// of [`Behavior::max_remaining_moves`] over agents that can still
-    /// act (crash-stopped and halted agents never wake again, so they
-    /// contribute nothing regardless of their behavior's hint), or
-    /// `None` if any live agent cannot bound its future.
-    ///
-    /// The adversary's branch-and-bound uses this to discard subtrees
-    /// whose optimistic total cannot beat the best already found; see
-    /// [`crate::adversary`] for the admissibility requirements.
-    pub fn max_remaining_moves(&self) -> Option<u64> {
-        let mut total = 0u64;
-        for (idx, b) in self.behaviors.iter().enumerate() {
-            let word = self.meta[idx];
-            // A staying Halted agent is terminal (halted agents never
-            // wake; in-transit agents are never Halted) — as is a
-            // crashed one, whose idle state is also Halted.
-            if self.crashed[idx] || (word & IN_TRANSIT == 0 && meta_idle(word) == Idle::Halted) {
-                continue;
-            }
-            total = total.saturating_add(b.max_remaining_moves(self.n, self.discipline)?);
-        }
-        Some(total)
-    }
-
     /// Observer-side rotation of the whole configuration: node `r` of
     /// `self` becomes node `0` of the result (agents, tokens, staying
     /// sets, link queues and homes move along; agent ids are unchanged).

@@ -59,12 +59,19 @@
 //! The DFS itself is a private walker that the worst-case
 //! [`Adversary`](crate::adversary::Adversary) runs too: one apply/undo
 //! loop, one activation arena, one frame stack and one visited map that
-//! holds either an on-path mark or a finished state's remaining value.
-//! [`Explorer::run`] gives it no objective, so every remaining value is
-//! 0, and a terminal predicate that also collects the terminal
-//! fingerprints; the adversary gives it an objective and its move-bound
-//! prune. Cycle, limit and (future) collision checks therefore live in
-//! one place.
+//! holds either an on-path mark or a finished state's remaining values.
+//! [`Explorer::run`] gives it no objective, so its remaining value is the
+//! zero-sized `()` and the walk does no objective arithmetic, and a
+//! terminal predicate that also collects the terminal fingerprints; the
+//! adversary gives it every objective it was asked for at once. Cycle,
+//! limit and (future) collision checks therefore live in one place.
+//!
+//! The map's value word is a `u64` per state, so the map's slot stays 16
+//! bytes. It holds the remaining values of up to three objectives as
+//! three 21-bit fields. A value of 2²¹ or more sends the whole triple to
+//! a side table, and the word then holds the table index tagged with
+//! the top bit. [`u64::MAX`] stays the on-path mark: a packed triple
+//! never sets the top bit, and an escape index never fills the other 63.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -509,32 +516,86 @@ impl FingerprintCache {
 }
 
 /// Visited-map value of a state on the current DFS path: re-entering it
-/// closes a cycle. Every other value is a finished state's remaining
-/// value.
+/// closes a cycle. Every other value is a finished state's packed
+/// remaining values ([`Remaining::pack`]).
 const ON_PATH: u64 = u64::MAX;
 
+/// Width of one remaining value in a packed word: three fields fill the
+/// low 63 bits.
+const FIELD_BITS: u32 = 21;
+
+/// The largest remaining value a packed field holds.
+const FIELD_MAX: u64 = (1 << FIELD_BITS) - 1;
+
+/// Top bit of a word whose low bits index the escape table instead of
+/// holding packed fields.
+const ESCAPE: u64 = 1 << 63;
+
+/// The remaining values a search memoises per finished state, and how
+/// they fit the visited map's one value word.
+pub(crate) trait Remaining: Copy + Default {
+    /// The word for `self`: never [`ON_PATH`], and 0 for the default
+    /// value. A value too wide for the word is pushed onto `escapes` and
+    /// the word points at it.
+    fn pack(self, escapes: &mut Vec<Self>) -> u64;
+
+    /// Inverse of [`pack`](Remaining::pack).
+    fn unpack(word: u64, escapes: &[Self]) -> Self;
+}
+
+/// A search with no objective remembers nothing but that a state is
+/// finished.
+impl Remaining for () {
+    fn pack(self, _escapes: &mut Vec<()>) -> u64 {
+        0
+    }
+
+    fn unpack(_word: u64, _escapes: &[()]) {}
+}
+
+/// Three remaining values, one per objective slot: packed as 21-bit
+/// fields while every value fits, escaped to the side table otherwise.
+impl Remaining for [u64; 3] {
+    fn pack(self, escapes: &mut Vec<[u64; 3]>) -> u64 {
+        if self.iter().all(|&v| v <= FIELD_MAX) {
+            return self[0] | self[1] << FIELD_BITS | self[2] << (2 * FIELD_BITS);
+        }
+        // An index below 2⁶³ − 1 keeps the word off ON_PATH; a table of
+        // 24-byte entries cannot reach that length.
+        let index = escapes.len() as u64;
+        escapes.push(self);
+        ESCAPE | index
+    }
+
+    fn unpack(word: u64, escapes: &[[u64; 3]]) -> [u64; 3] {
+        if word & ESCAPE != 0 {
+            return escapes[(word & !ESCAPE) as usize];
+        }
+        [
+            word & FIELD_MAX,
+            word >> FIELD_BITS & FIELD_MAX,
+            word >> (2 * FIELD_BITS) & FIELD_MAX,
+        ]
+    }
+}
+
 /// What the [`Walker`] asks of the search it serves. The defaults
-/// describe a search with no objective: every gain and every remaining
-/// value is 0, no child is skipped and every terminal is acceptable.
+/// describe a search with no objective: every gain is the default value,
+/// folding changes nothing and every terminal is acceptable.
 pub(crate) trait Search<B: Behavior> {
-    /// The objective contribution of `act`, which the walker has just
+    /// The remaining values memoised per state.
+    type Value: Remaining;
+
+    /// The objective contributions of `act`, which the walker has just
     /// applied: `undo` is its record and `ring` the state it left.
-    fn gain(&self, _ring: &Ring<B>, _act: Activation, _undo: &StepUndo<B>) -> u64 {
-        0
+    fn gain(&self, _ring: &Ring<B>, _act: Activation, _undo: &StepUndo<B>) -> Self::Value {
+        Self::Value::default()
     }
 
-    /// How a step's gain combines with the remaining value of the state
-    /// it leads to.
-    fn combine(&self, _gain: u64, _rest: u64) -> u64 {
-        0
-    }
-
-    /// Whether to skip the unvisited, non-terminal child `ring` without
-    /// visiting it, given its gain and the best value its parent has
-    /// attained so far.
-    fn skip(&self, _ring: &Ring<B>, _gain: u64, _best: u64) -> bool {
-        false
-    }
+    /// Folds one child into its parent's `best`: per objective, the
+    /// larger of `best` and the step's gain combined with the remaining
+    /// value `rest` of the state it leads to.
+    fn fold(&self, _best: &mut Self::Value, _gain: Self::Value, _rest: Self::Value) {}
 
     /// Whether the newly visited terminal `ring` (fingerprint `fp`) is
     /// acceptable; `false` stops the walk with `PredicateViolated`.
@@ -553,8 +614,6 @@ pub(crate) struct WalkStats {
     /// Transitions into a terminal state, memo hits included, plus a
     /// quiescent root.
     pub(crate) terminal_hits: u64,
-    /// Unvisited children [`Search::skip`] cut.
-    pub(crate) skipped: u64,
     /// The longest DFS path tried.
     pub(crate) max_depth_seen: usize,
     /// The deepest stack of non-terminal states on the DFS path.
@@ -568,24 +627,27 @@ pub(crate) struct WalkStats {
 /// enabled activations of every state on the path in one arena, patches
 /// the fingerprint cache alongside each step, and expands every distinct
 /// state once. Its one visited map stores, per fingerprint, [`ON_PATH`]
-/// while the state is on the DFS path and its remaining value once it is
-/// finished: the best [`Search::combine`] of gain and remaining value
-/// over its children, so 0 for a search with no objective. Re-entering
-/// a path state is a cycle; re-entering a finished one folds its
-/// remaining value in without walking it again.
-pub(crate) struct Walker<B: Behavior> {
+/// while the state is on the DFS path and its packed remaining values
+/// `V` once it is finished: the [`Search::fold`] of every child, so
+/// nothing at all for a search with no objective. Re-entering a path
+/// state is a cycle; re-entering a finished one folds its remaining
+/// values in without walking it again.
+pub(crate) struct Walker<B: Behavior, V> {
     /// The live ring: at the root before and after a walk, and at the
     /// offending terminal after a `PredicateViolated` stop.
     pub(crate) ring: Ring<B>,
     pub(crate) cache: FingerprintCache,
     pub(crate) visited: HashMap<u64, u64, FpBuildHasher>,
+    /// Remaining values too wide for a packed word ([`Remaining::pack`]).
+    pub(crate) escapes: Vec<V>,
     pub(crate) stats: WalkStats,
 }
 
-impl<B> Walker<B>
+impl<B, V> Walker<B, V>
 where
     B: Behavior + Clone + Hash,
     B::Message: Clone + Hash,
+    V: Remaining,
 {
     pub(crate) fn new(ring: &Ring<B>, symmetry: SymmetryMode) -> Self {
         let ring = ring.clone_for_exploration();
@@ -593,6 +655,7 @@ where
             cache: FingerprintCache::new(symmetry, &ring),
             ring,
             visited: HashMap::default(),
+            escapes: Vec::new(),
             stats: WalkStats {
                 states: 1,
                 peak_frontier: 1,
@@ -602,7 +665,7 @@ where
     }
 
     /// Walks every state reachable from the root and returns the root's
-    /// remaining value. A limit of `N` states errors iff more than `N`
+    /// remaining values. A limit of `N` states errors iff more than `N`
     /// states are reachable.
     ///
     /// # Errors
@@ -611,8 +674,8 @@ where
     pub(crate) fn walk(
         &mut self,
         limits: ExploreLimits,
-        search: &mut impl Search<B>,
-    ) -> Result<u64, ExploreErrorKind> {
+        search: &mut impl Search<B, Value = V>,
+    ) -> Result<V, ExploreErrorKind> {
         let state_limit = || {
             ExploreErrorKind::LimitExceeded(SimError::StepLimitExceeded {
                 limit: limits.max_states as u64,
@@ -629,18 +692,18 @@ where
             if !search.accept(&self.ring, root_fp) {
                 return Err(ExploreErrorKind::PredicateViolated { depth: 0 });
             }
-            return Ok(0);
+            return Ok(V::default());
         }
         self.visited.insert(root_fp, ON_PATH);
 
-        /// One state on the DFS path: its fingerprint, the gain of the
-        /// step that entered it, the best value over its children so
+        /// One state on the DFS path: its fingerprint, the gains of the
+        /// step that entered it, the best values over its children so
         /// far, its slice of the activation arena, and the undo record
         /// back to its parent.
-        struct Frame<B: Behavior> {
+        struct Frame<B: Behavior, V> {
             fp: u64,
-            gain: u64,
-            best: u64,
+            gain: V,
+            best: V,
             acts_start: usize,
             next: usize,
             undo: Option<(StepUndo<B>, SymbolPatch)>,
@@ -649,10 +712,10 @@ where
         // The enabled activations of every state on the path, truncated
         // on frame pop: no allocation per state in steady state.
         let mut arena: Vec<Activation> = self.ring.enabled_activations().to_vec();
-        let mut stack: Vec<Frame<B>> = vec![Frame {
+        let mut stack: Vec<Frame<B, V>> = vec![Frame {
             fp: root_fp,
-            gain: 0,
-            best: 0,
+            gain: V::default(),
+            best: V::default(),
             acts_start: 0,
             next: 0,
             undo: None,
@@ -660,13 +723,13 @@ where
         loop {
             let top = stack.last_mut().expect("the root is popped last");
             if top.acts_start + top.next >= arena.len() {
-                // Every child is done: this state's remaining value is
-                // final. Record it and fold it into the parent.
+                // Every child is done: this state's remaining values are
+                // final. Record them and fold them into the parent.
                 let frame = stack.pop().expect("stack is non-empty");
                 *self
                     .visited
                     .get_mut(&frame.fp)
-                    .expect("path state is visited") = frame.best;
+                    .expect("path state is visited") = frame.best.pack(&mut self.escapes);
                 arena.truncate(frame.acts_start);
                 let Some((undo, patch)) = frame.undo else {
                     return Ok(frame.best);
@@ -674,7 +737,7 @@ where
                 self.cache.revert(patch);
                 self.ring.undo(undo);
                 let parent = stack.last_mut().expect("non-root frames have parents");
-                parent.best = parent.best.max(search.combine(frame.gain, frame.best));
+                search.fold(&mut parent.best, frame.gain, frame.best);
                 continue;
             }
             let act = arena[top.acts_start + top.next];
@@ -703,18 +766,11 @@ where
                     }
                     stats.memo_hits += 1;
                     stats.terminal_hits += u64::from(terminal);
-                    Some(*seen.get())
+                    Some(V::unpack(*seen.get(), &self.escapes))
                 }
                 std::collections::hash_map::Entry::Vacant(slot) => {
-                    let parent = stack.last().expect("child has a parent frame");
-                    if !terminal && search.skip(&self.ring, gain, parent.best) {
-                        // Not entered into the map: another path may
-                        // still reach the child and walk it.
-                        stats.skipped += 1;
-                        self.cache.revert(patch);
-                        self.ring.undo(undo);
-                        continue;
-                    }
+                    // A terminal's remaining values are the default,
+                    // which packs to 0.
                     slot.insert(if terminal { 0 } else { ON_PATH });
                     stats.states += 1;
                     if stats.states > limits.max_states {
@@ -728,14 +784,14 @@ where
                             return Err(ExploreErrorKind::PredicateViolated { depth });
                         }
                     }
-                    terminal.then_some(0)
+                    terminal.then(V::default)
                 }
             };
             if let Some(rem) = done {
                 self.cache.revert(patch);
                 self.ring.undo(undo);
                 let parent = stack.last_mut().expect("child has a parent frame");
-                parent.best = parent.best.max(search.combine(gain, rem));
+                search.fold(&mut parent.best, gain, rem);
                 continue;
             }
             let acts_start = arena.len();
@@ -743,7 +799,7 @@ where
             stack.push(Frame {
                 fp,
                 gain,
-                best: 0,
+                best: V::default(),
                 acts_start,
                 next: 0,
                 undo: Some((undo, patch)),
@@ -875,13 +931,15 @@ impl Explorer {
         }
 
         impl<B: Behavior, F: FnMut(&Ring<B>) -> bool> Search<B> for Check<F> {
+            type Value = ();
+
             fn accept(&mut self, ring: &Ring<B>, fp: u64) -> bool {
                 self.terminals.push(fp);
                 (self.terminal_ok)(ring)
             }
         }
 
-        let mut walker = Walker::new(ring, self.symmetry);
+        let mut walker = Walker::<B, ()>::new(ring, self.symmetry);
         let mut check = Check {
             terminal_ok,
             terminals: Vec::new(),
@@ -1185,6 +1243,28 @@ mod tests {
             .run(&ring, |_| true)
             .unwrap_err();
         assert!(matches!(err, ExploreError::LimitExceeded(_)));
+    }
+
+    #[test]
+    fn packed_words_round_trip_and_escape_wide_values() {
+        let mut escapes = Vec::new();
+        let widest = [FIELD_MAX; 3];
+        assert_eq!(FIELD_MAX, (1 << 21) - 1);
+        let word = widest.pack(&mut escapes);
+        assert!(escapes.is_empty(), "2^21 - 1 fits a field");
+        assert_ne!(word, u64::MAX, "a packed word is never the on-path mark");
+        assert_eq!(<[u64; 3]>::unpack(word, &escapes), widest);
+        assert_eq!([0; 3].pack(&mut escapes), 0);
+        for wide in [[1 << 21, 0, 0], [0, 1 << 21, 7], [3, 5, u64::MAX]] {
+            let word = wide.pack(&mut escapes);
+            assert_ne!(word, u64::MAX, "an escape word is never the on-path mark");
+            assert_eq!(<[u64; 3]>::unpack(word, &escapes), wide);
+        }
+        assert_eq!(escapes.len(), 3, "each wide triple escapes once");
+        assert_eq!(
+            <[u64; 3]>::unpack(widest.pack(&mut escapes), &escapes),
+            widest
+        );
     }
 
     #[test]

@@ -146,6 +146,39 @@ mod tests {
     }
 
     #[test]
+    fn certify_payloads_render_the_batch_rows_of_their_keys() {
+        use ringdeploy_analysis::{Certify, EvidenceTier};
+        // The batch certifies an instance's objectives together; the
+        // daemon computes one key at a time. Both must render the same
+        // bytes, fingerprint stamp included.
+        let plans = [
+            ringdeploy_sim::FaultPlan::none(),
+            ringdeploy_sim::FaultPlan::none().with_crash(ringdeploy_sim::AgentId(1), 2),
+        ];
+        for (tier, faults) in EvidenceTier::ALL
+            .into_iter()
+            .flat_map(|tier| plans.iter().map(move |faults| (tier, faults.clone())))
+        {
+            let batch = Certify::new()
+                .algorithms([Algorithm::FullKnowledge, Algorithm::partial_gathering(2)])
+                .workload(Workload::Random { n: 8, k: 3 })
+                .seeds([1, 2])
+                .tier(tier)
+                .faults(faults);
+            for row in batch.run().expect("batch succeeds") {
+                let mut certificate = row.certificate;
+                certificate.instance_fingerprint = Some(row.cell.fingerprint());
+                assert_eq!(
+                    compute(&row.cell).expect("cell computes").to_string(),
+                    certificate.to_json().to_string(),
+                    "{}",
+                    row.cell.label()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn every_kind_computes_on_a_small_instance() {
         use ringdeploy_analysis::key::JobKind;
         use ringdeploy_analysis::{EvidenceTier, Objective};

@@ -25,7 +25,7 @@
 //! * `--explore`              exhaustively verify EVERY fair schedule of the
 //!   instance (symmetry-reduced bounded model checking) instead of running one
 //! * `--adversary <obj>`      synthesise the exact worst-case schedule for
-//!   `moves` | `activations` | `memory` (branch-and-bound over every fair
+//!   `moves` | `activations` | `memory` (exact search over every fair
 //!   schedule) and report the maximum with its replayable witness
 //! * `--symmetry <mode>`      state-space quotient for `--explore` /
 //!   `--adversary`: `off` | `rotation` (default)
@@ -61,7 +61,7 @@
 use std::process::ExitCode;
 
 use rand::SeedableRng;
-use ringdeploy::analysis::certify::{certify_one, CertifySettings, EvidenceTier};
+use ringdeploy::analysis::certify::{certify_all, CertifySettings, EvidenceTier};
 use ringdeploy::analysis::{random_config, worst_case_one};
 use ringdeploy::sim::adversary::{Adversary, Objective};
 use ringdeploy::sim::explore::SymmetryMode;
@@ -458,7 +458,7 @@ fn explore_instance(
 }
 
 /// Synthesises the exact worst-case schedule for one objective
-/// (branch-and-bound over every fair schedule, rotation quotient).
+/// (exact search over every fair schedule, rotation quotient).
 fn adversary(opts: &Options, init: &InitialConfig, objective: Objective) -> Result<(), String> {
     use ringdeploy::sim::explore::ExploreLimits;
 
@@ -492,26 +492,24 @@ fn adversary(opts: &Options, init: &InitialConfig, objective: Objective) -> Resu
         worst.witness.len()
     );
     println!(
-        "search    : {} states, {} expansions, {} dominance prunes, {} bound prunes, depth {}",
-        worst.distinct_states,
-        worst.expansions,
-        worst.dominance_prunes,
-        worst.bound_prunes,
-        worst.max_depth_seen
+        "search    : {} states, {} expansions, {} dominance prunes, depth {}",
+        worst.distinct_states, worst.expansions, worst.dominance_prunes, worst.max_depth_seen
     );
     Ok(())
 }
 
 /// Certifies the paper bounds for all three objectives at the selected
-/// evidence tier; fails (non-zero exit) if any bound is violated.
+/// evidence tier, from one search (or one set of sweep runs) of the
+/// instance; fails (non-zero exit) if any bound is violated.
 fn certify(opts: &Options, init: &InitialConfig) -> Result<(), String> {
-    let settings = CertifySettings::default();
-    let mut certificates = Vec::new();
-    for objective in Objective::ALL {
-        let cert = certify_one(opts.algo, init, objective, opts.tier, &settings)
-            .map_err(|e| format!("certification FAILED ({objective}): {e}"))?;
-        certificates.push(cert);
-    }
+    let certificates = certify_all(
+        opts.algo,
+        init,
+        &Objective::ALL,
+        opts.tier,
+        &CertifySettings::default(),
+    )
+    .map_err(|e| format!("certification FAILED: {e}"))?;
     let violation = violation_error(&certificates);
     if opts.json {
         use ringdeploy_json::{Json, ToJson};

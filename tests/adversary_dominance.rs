@@ -1,14 +1,13 @@
-//! Differential validation of the branch-and-bound worst-case search:
+//! Differential validation of the exact worst-case search:
 //!
 //! * **dominance over sampling** — on every exhaustive-tier instance the
 //!   adversarial exact maximum is ≥ the maximum over a 64-seed random
 //!   sweep (plus the deterministic adversary presets);
-//! * **quotient soundness** — the rotation-quotiented search (with the
-//!   admissible move-bound prune enabled, the production default)
-//!   reports exactly the value of the unpruned plain search
+//! * **quotient soundness** — the rotation-quotiented search (the
+//!   production default) reports exactly the value of the plain search
 //!   (`SymmetryMode::Off`), which enumerates every reachable concrete
 //!   configuration;
-//! * **full coverage** — with the bound prune disabled, the search's
+//! * **full coverage** — for every objective, the search's
 //!   `distinct_states` equals the exhaustive explorer's `states` in the
 //!   same mode (both modes): the maximum really is taken over the
 //!   explorer's *entire* reachable state space, not a subset; its memo
@@ -40,15 +39,13 @@ fn adversary_value(
     init: &InitialConfig,
     symmetry: SymmetryMode,
     objective: Objective,
-    prune: bool,
 ) -> WorstCase {
     let adversary = Adversary::new()
         .limits(ExploreLimits::for_instance(
             init.ring_size(),
             init.agent_count(),
         ))
-        .symmetry(symmetry)
-        .bound_prune(prune);
+        .symmetry(symmetry);
     ringdeploy::analysis::worst_case_one(algorithm, init, &adversary, objective)
         .unwrap_or_else(|e| panic!("{algorithm} {objective} {symmetry:?}: {e}"))
 }
@@ -82,13 +79,11 @@ fn adversarial_max_dominates_random_sweeps_and_equals_plain_search() {
                 }
             }
             for (objective, sampled_max) in Objective::ALL.into_iter().zip(sampled) {
-                // The pruned quotiented search (the production default)
-                // against the fully-enumerated plain baseline: the
-                // rotation fold *and* the admissible move-bound prune
-                // must both be value-preserving on the real algorithms.
-                let rotation =
-                    adversary_value(algorithm, &init, SymmetryMode::Rotation, objective, true);
-                let plain = adversary_value(algorithm, &init, SymmetryMode::Off, objective, false);
+                // The quotiented search (the production default) against
+                // the fully-enumerated plain baseline: the rotation fold
+                // must be value-preserving on the real algorithms.
+                let rotation = adversary_value(algorithm, &init, SymmetryMode::Rotation, objective);
+                let plain = adversary_value(algorithm, &init, SymmetryMode::Off, objective);
                 assert!(
                     rotation.value >= sampled_max,
                     "{algorithm} {objective} n={n} homes={homes:?}: adversarial max {} below \
@@ -118,18 +113,16 @@ fn search_covers_exactly_the_explorers_reachable_space() {
                 let explored = explore_one(algorithm, &init, &explorer)
                     .unwrap_or_else(|e| panic!("{algorithm} n={n} {symmetry:?}: {e}"));
                 // The objective does not change reachability; one check
-                // per objective pins that the unpruned search neither
-                // skips nor invents states. The bound prune is turned
-                // off here on purpose: cutting subtrees is its entire
-                // job, so coverage is only exact without it.
+                // per objective pins that the search neither skips nor
+                // invents states.
                 for objective in Objective::ALL {
-                    let worst = adversary_value(algorithm, &init, symmetry, objective, false);
+                    let worst = adversary_value(algorithm, &init, symmetry, objective);
                     assert_eq!(
                         worst.distinct_states, explored.states,
                         "{algorithm} {objective} n={n} homes={homes:?} {symmetry:?}: \
                          worst-case search must cover the explorer's reachable space exactly"
                     );
-                    assert_eq!(worst.bound_prunes, 0, "prune was disabled");
+                    assert_eq!(worst.bound_prunes, 0, "the search cuts nothing");
                     // Same graph, same order: every memo hit is one of the
                     // explorer's merge edges, and the DFS paths are as long.
                     assert_eq!(
@@ -141,15 +134,6 @@ fn search_covers_exactly_the_explorers_reachable_space() {
                         "{algorithm} {objective} n={n} homes={homes:?} {symmetry:?}"
                     );
                 }
-                // With the prune enabled the space can only shrink, and
-                // never below the terminal-bearing core.
-                let pruned =
-                    adversary_value(algorithm, &init, symmetry, Objective::TotalMoves, true);
-                assert!(
-                    pruned.distinct_states <= explored.states,
-                    "{algorithm} n={n} homes={homes:?} {symmetry:?}: pruning must not \
-                     invent states"
-                );
             }
         }
     }
@@ -221,8 +205,7 @@ fn independent_dp_reference_reproduces_the_maxima() {
         let k = init.agent_count();
         for algorithm in Algorithm::ALL {
             for objective in Objective::ALL {
-                let worst =
-                    adversary_value(algorithm, &init, SymmetryMode::Rotation, objective, true);
+                let worst = adversary_value(algorithm, &init, SymmetryMode::Rotation, objective);
                 let reference = if algorithm == Algorithm::FullKnowledge {
                     dp_reference(&Ring::new(&init, |_| FullKnowledge::new(k)), objective)
                 } else if algorithm == Algorithm::LogSpace {
@@ -232,7 +215,7 @@ fn independent_dp_reference_reproduces_the_maxima() {
                 };
                 assert_eq!(
                     worst.value, reference,
-                    "{algorithm} {objective} n={n} homes={homes:?}: branch-and-bound and \
+                    "{algorithm} {objective} n={n} homes={homes:?}: worst-case search and \
                      DP reference disagree"
                 );
             }

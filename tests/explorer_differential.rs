@@ -247,15 +247,15 @@ fn limit_boundary_is_engine_independent() {
             states - 1
         );
     }
-    // The adversary walks the same graph under the same budget.
+    // The adversary walks the same graph under the same budget, for one
+    // objective or for all of them at once.
+    let adversary = |max_states: usize| {
+        Adversary::new()
+            .symmetry(SymmetryMode::Rotation)
+            .limits(ExploreLimits::new(max_states, 100_000))
+    };
     for objective in Objective::ALL {
-        let run = |max_states: usize| {
-            Adversary::new()
-                .symmetry(SymmetryMode::Rotation)
-                .limits(ExploreLimits::new(max_states, 100_000))
-                .bound_prune(false)
-                .run(&ring, objective)
-        };
+        let run = |max_states: usize| adversary(max_states).run(&ring, objective);
         assert!(
             run(states).is_ok(),
             "adversary {objective}: a budget of exactly {states} states must succeed"
@@ -266,6 +266,16 @@ fn limit_boundary_is_engine_independent() {
             states - 1
         );
     }
+    let run_all = |max_states: usize| adversary(max_states).run_all(&ring, &Objective::ALL);
+    assert!(
+        run_all(states).is_ok(),
+        "adversary, all objectives: a budget of exactly {states} states must succeed"
+    );
+    assert!(
+        matches!(run_all(states - 1), Err(AdversaryError::LimitExceeded(_))),
+        "adversary, all objectives: a budget of {} states must be exceeded",
+        states - 1
+    );
 }
 
 /// Runs one engine over one family instance under one link discipline,

@@ -2,13 +2,14 @@
 //! explorer ([`Explorer::run`]) and the worst-case adversary
 //! ([`Adversary::run`]) — across four paper families plus an
 //! always-false predicate, fault-free and under crash and edge-outage
-//! plans.
+//! plans; and, over the same instances, a check that one adversary walk
+//! for all objectives ([`Adversary::run_all`]) answers exactly what one
+//! walk per objective does.
 //!
 //! Each pinned digest is an FNV-1a hash of the `Debug` text of every
 //! report or error one family × plan produces under FIFO/LIFO links ×
-//! both symmetry modes × {explorer, each objective}, the objectives
-//! searched with the move-bound prune off, so every search covers the
-//! whole reachable space. Every report field is covered, including the
+//! both symmetry modes × {explorer, each objective}; every search covers
+//! the whole reachable space. Every report field is covered, including the
 //! spanning-tree-shaped ones (`max_depth_seen`, `peak_frontier`), the
 //! sorted terminal fingerprints, the witness and the search counters, as
 //! are the kind and depth of every error. A change to the order either
@@ -71,10 +72,7 @@ where
                 .run(&ring, pred)
                 .map_err(|e| e.kind());
             h = fnv1a(h, format!("{tag} explore {explored:?}\n").as_bytes());
-            let adversary = Adversary::new()
-                .limits(limits())
-                .symmetry(symmetry)
-                .bound_prune(false);
+            let adversary = Adversary::new().limits(limits()).symmetry(symmetry);
             for objective in Objective::ALL {
                 let worst = adversary.run(&ring, objective);
                 h = fnv1a(h, format!("{tag} {objective} {worst:?}\n").as_bytes());
@@ -82,6 +80,61 @@ where
         }
     }
     h
+}
+
+/// Checks that one all-objective search of `init` answers exactly what
+/// one search per objective does, under both disciplines and both
+/// symmetry modes: every field of every worst case, or the same error
+/// kind and depth.
+fn check_shared_walk<B>(label: &str, init: &InitialConfig, make: &dyn Fn() -> B)
+where
+    B: Behavior + Clone + Hash,
+    B::Message: Clone + Hash,
+{
+    for discipline in [LinkDiscipline::Fifo, LinkDiscipline::Lifo] {
+        let mut ring = Ring::new(init, |_| make());
+        ring.set_link_discipline(discipline);
+        for symmetry in [SymmetryMode::Off, SymmetryMode::Rotation] {
+            let adversary = Adversary::new().limits(limits()).symmetry(symmetry);
+            let shared = adversary.run_all(&ring, &Objective::ALL);
+            for (slot, objective) in Objective::ALL.into_iter().enumerate() {
+                let alone = adversary.run(&ring, objective);
+                let from_shared = shared.as_ref().map(|all| &all[slot]);
+                assert_eq!(
+                    from_shared,
+                    alone.as_ref(),
+                    "{label} {discipline:?} {symmetry:?} {objective}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_walk_answers_every_objective_as_three_searches_do() {
+    let algo1 = InitialConfig::new(8, vec![0, 1, 4]).expect("valid");
+    let algo2 = InitialConfig::new(9, vec![0, 1, 2]).expect("valid");
+    let relaxed = InitialConfig::new(6, vec![0, 1, 3]).expect("valid");
+    let gathering = InitialConfig::new(8, vec![0, 1, 4, 5]).expect("valid");
+    for (plan_name, plan) in plans() {
+        let with = |init: &InitialConfig| init.clone().with_faults(plan.clone());
+        check_shared_walk(&format!("algo1 {plan_name}"), &with(&algo1), &|| {
+            FullKnowledge::new(3)
+        });
+        check_shared_walk(&format!("algo2 {plan_name}"), &with(&algo2), &|| {
+            LogSpace::new(3)
+        });
+        check_shared_walk(
+            &format!("relaxed {plan_name}"),
+            &with(&relaxed),
+            &NoKnowledge::new,
+        );
+        check_shared_walk(
+            &format!("partial-gathering-g2 {plan_name}"),
+            &with(&gathering),
+            &|| PartialGathering::new(4),
+        );
+    }
 }
 
 /// Every case as `(label, digest)`.
