@@ -37,10 +37,12 @@
 //! # Recorded constants
 //!
 //! Asymptotic bounds say nothing about constants; a certificate must.
-//! The constants recorded in [`paper_bound`] are *empirical envelopes*:
-//! the smallest round numbers that dominate every adversarial exact
-//! maximum measured across the exhaustive verification tier (n ≤ 20,
-//! k ≤ 6, all three families, uniform through fully clustered starts) —
+//! The constants recorded in
+//! [`ProblemFamily::paper_bound`](ringdeploy_core::ProblemFamily::paper_bound)
+//! are *empirical envelopes*: the smallest round numbers that dominate
+//! every adversarial exact maximum measured across the exhaustive
+//! verification tier (n ≤ 20, k ≤ 6, all three families, uniform
+//! through fully clustered starts) —
 //! e.g. Algorithm 1's worst-case total moves measured ≤ 2.0·kn, recorded
 //! as `3·k·n`. A certified instance whose worst case exceeds the
 //! recorded bound (`!holds()`) is a *finding*: either the constant or
@@ -76,23 +78,6 @@ use crate::grid::{Batch, CellJob};
 use crate::key::{InstanceKey, JobKind};
 
 pub use ringdeploy_core::PaperBound;
-
-/// The paper bound for `algorithm` × `objective` at an `(n, k, l)`
-/// instance, with the recorded constant — a thin wrapper over
-/// [`ProblemFamily::paper_bound`](ringdeploy_core::ProblemFamily::paper_bound),
-/// kept for callers that predate the trait. Shapes come from the
-/// Table-1 expectations in `ringdeploy-core`; the activation bound
-/// shares the move shape (every activation beyond the bounded moves is
-/// a wake/suspend bounded by the same walks).
-pub fn paper_bound(
-    algorithm: Algorithm,
-    objective: Objective,
-    n: usize,
-    k: usize,
-    l: usize,
-) -> PaperBound {
-    algorithm.paper_bound(objective, n, k, l)
-}
 
 /// How much evidence backs a certificate — see the [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,7 +209,7 @@ pub struct BoundCertificate {
     /// distributedness. `None` unless the objective is total moves and
     /// the oracle cost is non-zero.
     pub competitive_ratio: Option<f64>,
-    /// Branch-and-bound diagnostics — search tiers only.
+    /// Worst-case search diagnostics — search tiers only.
     pub search: Option<SearchStats>,
     /// Graceful-degradation verdict — instances with a non-empty
     /// [`FaultPlan`](ringdeploy_sim::FaultPlan) only. `None` (and
@@ -437,7 +422,7 @@ pub fn certify_all(
         .zip(measured)
         .map(
             |(&objective, (worst_value, witness, terminal_fingerprint, search))| {
-                let bound = paper_bound(algorithm, objective, n, k, l);
+                let bound = algorithm.paper_bound(objective, n, k, l);
                 let (oracle, ratio) = match objective {
                     Objective::TotalMoves => {
                         let ratio = oracle
@@ -956,14 +941,14 @@ mod tests {
 
     #[test]
     fn recorded_bounds_evaluate_with_their_constants() {
-        let bound = paper_bound(Algorithm::FullKnowledge, Objective::TotalMoves, 12, 4, 1);
+        let bound = Algorithm::FullKnowledge.paper_bound(Objective::TotalMoves, 12, 4, 1);
         assert_eq!(bound.formula, "c*k*n");
         assert!((bound.value - bound.constant * 48.0).abs() < 1e-9);
-        let relaxed = paper_bound(Algorithm::Relaxed, Objective::TotalMoves, 12, 4, 4);
+        let relaxed = Algorithm::Relaxed.paper_bound(Objective::TotalMoves, 12, 4, 4);
         assert_eq!(relaxed.formula, "c*k*n/l");
         assert!((relaxed.value - relaxed.constant * 12.0).abs() < 1e-9);
         // Degenerate l = 0 must not divide by zero.
-        let degenerate = paper_bound(Algorithm::Relaxed, Objective::PeakMemoryBits, 12, 4, 0);
+        let degenerate = Algorithm::Relaxed.paper_bound(Objective::PeakMemoryBits, 12, 4, 0);
         assert!(degenerate.value.is_finite());
     }
 

@@ -24,7 +24,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use ringdeploy_core::{Algorithm, ExploreEngine};
+use ringdeploy_core::Algorithm;
 use ringdeploy_sim::explore::{
     ExploreErrorKind, ExploreLimits, ExploreReport, Explorer, SymmetryMode,
 };
@@ -94,7 +94,8 @@ impl Explore {
 /// given engine configuration — trait-routed through
 /// [`ProblemFamily::explore`](ringdeploy_core::ProblemFamily::explore),
 /// which pairs the family's behavior factory with its terminal
-/// predicate. [`Explore`] cells, the CLI's `--explore` mode and the
+/// predicate. [`Explore`] cells (the daemon's explore cells among them),
+/// the CLI's `--explore` mode, the `verified` experiment and the
 /// `explore_scale` bench all route through here.
 ///
 /// Family predicates are rotation-invariant by the trait contract
@@ -103,17 +104,19 @@ impl Explore {
 ///
 /// # Errors
 ///
-/// The type-erased [`ExploreErrorKind`] of the exploration failure; a
-/// `PredicateViolated` means the instance was *disproved*.
+/// See [`ExploreErrorKind`]; a `PredicateViolated` means the instance
+/// was *disproved*.
 pub fn explore_one(
     algorithm: Algorithm,
     init: &InitialConfig,
     explorer: &Explorer,
 ) -> Result<ExploreReport, ExploreErrorKind> {
-    algorithm.explore(init, explorer, ExploreEngine::Serial)
+    algorithm.explore(init, explorer)
 }
 
-/// Alias of [`explore_one`], kept for callers that name the engine.
+/// Alias of [`explore_one`], still called by the end-to-end benchmark
+/// (`e2ebench`); it goes in the benchmark step of ROADMAP's dead-weight
+/// item, which switches that caller to [`explore_one`].
 ///
 /// # Errors
 ///
@@ -124,22 +127,6 @@ pub fn explore_one_serial(
     explorer: &Explorer,
 ) -> Result<ExploreReport, ExploreErrorKind> {
     explore_one(algorithm, init, explorer)
-}
-
-/// As [`explore_one`], but through the **retained clone-based reference
-/// engine** ([`Explorer::run_serial_reference`]) — the pre-0.5 serial DFS
-/// kept as the differential oracle for the clone-free engine and as the
-/// throughput baseline of the `explore_scale` bench.
-///
-/// # Errors
-///
-/// As [`explore_one`].
-pub fn explore_one_reference(
-    algorithm: Algorithm,
-    init: &InitialConfig,
-    explorer: &Explorer,
-) -> Result<ExploreReport, ExploreErrorKind> {
-    algorithm.explore(init, explorer, ExploreEngine::Reference)
 }
 
 #[cfg(test)]

@@ -59,14 +59,11 @@ pub mod sweep;
 mod table;
 
 pub use certify::{
-    certify_all, certify_one, paper_bound, worst_case_one, BoundCertificate, Certify,
-    CertifyErrorKind, CertifyRow, CertifySettings, DegradationVerdict, EvidenceTier, PaperBound,
-    SearchStats,
+    certify_all, certify_one, worst_case_one, BoundCertificate, Certify, CertifyErrorKind,
+    CertifyRow, CertifySettings, DegradationVerdict, EvidenceTier, PaperBound, SearchStats,
 };
 pub use experiment::{Cell, Measurement};
-pub use explore::{
-    explore_one, explore_one_reference, explore_one_serial, Explore, ExploreJob, ExploreRow,
-};
+pub use explore::{explore_one, explore_one_serial, Explore, ExploreJob, ExploreRow};
 pub use generators::{
     clustered_config, from_gaps, periodic_config, quarter_ring_config, random_aperiodic_config,
     random_config, theorem5_config, uniform_config,

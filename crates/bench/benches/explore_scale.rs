@@ -2,12 +2,8 @@
 //! clone-free DFS and rotation-symmetry reduction of the exhaustive model
 //! checker.
 //!
-//! Three measurements per instance, all exploring the *same* state space:
+//! Two measurements per instance, both exploring the *same* instance:
 //!
-//! * **reference** — the retained clone-based DFS
-//!   (`Explorer::run_serial_reference`, the 0.4 engine): one deep ring
-//!   clone per child expansion, full `O(n)` symbol rebuild per
-//!   fingerprint;
 //! * **plain** — the clone-free DFS without a symmetry quotient
 //!   (`SymmetryMode::Off`);
 //! * **serial** — the clone-free DFS over the rotation quotient:
@@ -15,19 +11,20 @@
 //!   fingerprints (≤ 2 symbols re-derived per child).
 //!
 //! Gate enforced by the bench itself — **symmetry reduction**: ≥ 3×
-//! state cut on the `l = 4` instances. Reference and serial must agree
-//! on the report quadruple everywhere.
+//! state cut on the `l = 4` instances. The clone-based reference DFS is
+//! not timed here: it lives in the workspace's `tests/support`, and
+//! `tests/explorer_differential.rs` checks the serial report quadruple
+//! against it on these six instances.
 //!
 //! Besides the table on stdout it writes `BENCH_explore.json` at the
 //! workspace root (published as a CI artifact), including per-instance
-//! `states_per_sec`, the speedup over the reference engine and the DFS's
-//! `peak_frontier`.
+//! `states_per_sec` and the DFS's `peak_frontier`.
 //!
 //! Run with `cargo bench -p ringdeploy-bench --bench explore_scale`.
 
 use std::time::{Duration, Instant};
 
-use ringdeploy_analysis::{explore_one, explore_one_reference};
+use ringdeploy_analysis::explore_one;
 use ringdeploy_core::Algorithm;
 use ringdeploy_sim::explore::{ExploreLimits, ExploreReport, Explorer, SymmetryMode};
 use ringdeploy_sim::InitialConfig;
@@ -39,7 +36,6 @@ struct Sample {
     symmetry_degree: usize,
     states_plain: usize,
     states_reduced: usize,
-    reference: Duration,
     plain: Duration,
     reduced: Duration,
     /// Deepest DFS stack of the rotation-quotient sweep.
@@ -53,16 +49,6 @@ impl Sample {
 
     fn states_per_sec(&self) -> f64 {
         self.states_reduced as f64 / self.reduced.as_secs_f64()
-    }
-
-    fn ref_states_per_sec(&self) -> f64 {
-        self.states_reduced as f64 / self.reference.as_secs_f64()
-    }
-
-    /// Clone-free serial vs clone-based reference on the identical
-    /// exploration.
-    fn speedup_vs_reference(&self) -> f64 {
-        self.reference.as_secs_f64() / self.reduced.as_secs_f64()
     }
 }
 
@@ -96,14 +82,6 @@ fn best_of(repeats: usize, mut run: impl FnMut() -> ExploreReport) -> (ExploreRe
 fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> Sample {
     let algo = algorithm.name();
     let init = InitialConfig::new(n, homes.to_vec()).expect("valid homes");
-    let (reference_report, reference) = best_of(repeats, || {
-        explore_one_reference(
-            algorithm,
-            &init,
-            &explorer_for(&init, SymmetryMode::Rotation),
-        )
-        .expect("reference exploration succeeds")
-    });
     let (plain_report, plain) = best_of(repeats, || {
         explore_one(algorithm, &init, &explorer_for(&init, SymmetryMode::Off))
             .expect("plain exploration succeeds")
@@ -116,18 +94,6 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
         )
         .expect("serial exploration succeeds")
     });
-    assert_eq!(
-        reduced_report.states, reference_report.states,
-        "clone-free serial must agree with the clone-based reference"
-    );
-    assert_eq!(
-        reduced_report.terminal_fingerprints, reference_report.terminal_fingerprints,
-        "clone-free serial must agree with the clone-based reference"
-    );
-    assert_eq!(
-        reduced_report.merge_edges, reference_report.merge_edges,
-        "clone-free serial must agree with the clone-based reference"
-    );
     Sample {
         algo,
         n,
@@ -135,7 +101,6 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
         symmetry_degree: init.symmetry_degree(),
         states_plain: plain_report.states,
         states_reduced: reduced_report.states,
-        reference,
         plain,
         reduced,
         peak_frontier: reduced_report.peak_frontier,
@@ -158,23 +123,12 @@ fn main() {
     ];
 
     println!(
-        "{:>8} {:>4} {:>3} {:>3} {:>9} {:>9} {:>6} {:>9} {:>9} {:>8} {:>10} {:>5}",
-        "algo",
-        "n",
-        "k",
-        "l",
-        "plain",
-        "reduced",
-        "cut",
-        "ref_ms",
-        "serial_ms",
-        "vs_ref",
-        "kstates/s",
-        "peak"
+        "{:>8} {:>4} {:>3} {:>3} {:>9} {:>9} {:>6} {:>9} {:>10} {:>5}",
+        "algo", "n", "k", "l", "plain", "reduced", "cut", "serial_ms", "kstates/s", "peak"
     );
     for s in &samples {
         println!(
-            "{:>8} {:>4} {:>3} {:>3} {:>9} {:>9} {:>5.2}x {:>9.2} {:>9.2} {:>7.2}x {:>10.1} {:>5}",
+            "{:>8} {:>4} {:>3} {:>3} {:>9} {:>9} {:>5.2}x {:>9.2} {:>10.1} {:>5}",
             s.algo,
             s.n,
             s.k,
@@ -182,9 +136,7 @@ fn main() {
             s.states_plain,
             s.states_reduced,
             s.reduction(),
-            s.reference.as_secs_f64() * 1e3,
             s.reduced.as_secs_f64() * 1e3,
-            s.speedup_vs_reference(),
             s.states_per_sec() / 1e3,
             s.peak_frontier
         );
@@ -196,9 +148,8 @@ fn main() {
             format!(
                 "    {{\"algo\": \"{}\", \"n\": {}, \"k\": {}, \"symmetry_degree\": {}, \
                  \"states_plain\": {}, \"states_reduced\": {}, \"reduction\": {:.2}, \
-                 \"reference_ms\": {:.3}, \"plain_ms\": {:.3}, \"serial_ms\": {:.3}, \
-                 \"states_per_sec\": {:.0}, \"ref_states_per_sec\": {:.0}, \
-                 \"serial_speedup_vs_ref\": {:.2}, \"peak_frontier\": {}}}",
+                 \"plain_ms\": {:.3}, \"serial_ms\": {:.3}, \
+                 \"states_per_sec\": {:.0}, \"peak_frontier\": {}}}",
                 s.algo,
                 s.n,
                 s.k,
@@ -206,12 +157,9 @@ fn main() {
                 s.states_plain,
                 s.states_reduced,
                 s.reduction(),
-                s.reference.as_secs_f64() * 1e3,
                 s.plain.as_secs_f64() * 1e3,
                 s.reduced.as_secs_f64() * 1e3,
                 s.states_per_sec(),
-                s.ref_states_per_sec(),
-                s.speedup_vs_reference(),
                 s.peak_frontier,
             )
         })

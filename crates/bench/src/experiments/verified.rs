@@ -6,12 +6,10 @@
 //! instance ends uniformly deployed, and no schedule can loop forever —
 //! machine-checked instances of Theorems 3, 4 and 6.
 
-use ringdeploy_analysis::TextTable;
-use ringdeploy_core::{FullKnowledge, LogSpace, NoKnowledge};
-use ringdeploy_sim::explore::{explore_all_schedules, ExploreLimits};
-use ringdeploy_sim::{
-    satisfies_halting_deployment, satisfies_suspended_deployment, InitialConfig, Ring,
-};
+use ringdeploy_analysis::{explore_one, TextTable};
+use ringdeploy_core::Algorithm;
+use ringdeploy_sim::explore::{Explorer, SymmetryMode};
+use ringdeploy_sim::InitialConfig;
 
 /// Runs the verification experiment and returns the printed report.
 pub fn verified() -> String {
@@ -32,47 +30,27 @@ pub fn verified() -> String {
         (8, vec![0, 1, 2]),
         (10, vec![0, 5]),
     ];
+    // The table counts concrete configurations: no rotation quotient.
+    let explorer = Explorer::new().symmetry(SymmetryMode::Off);
     for (n, homes) in &cases {
-        let k = homes.len();
         let init = InitialConfig::new(*n, homes.clone()).expect("valid");
-
-        let ring = Ring::new(&init, |_| FullKnowledge::new(k));
-        let r1 = explore_all_schedules(&ring, ExploreLimits::default(), |r| {
-            satisfies_halting_deployment(r).is_satisfied()
-        });
-        push_row(
-            &mut table,
-            "algo1",
-            *n,
-            homes,
-            r1.map(|r| (r.states, r.terminals)),
-        );
-
-        let ring = Ring::new(&init, |_| LogSpace::new(k));
-        let r2 = explore_all_schedules(&ring, ExploreLimits::default(), |r| {
-            satisfies_halting_deployment(r).is_satisfied()
-        });
-        push_row(
-            &mut table,
-            "algo2",
-            *n,
-            homes,
-            r2.map(|r| (r.states, r.terminals)),
-        );
-
+        let mut families = vec![
+            ("algo1", Algorithm::FullKnowledge),
+            ("algo2", Algorithm::LogSpace),
+        ];
         if *n <= 6 {
             // The relaxed algorithm's 14n-walks blow the state space up
             // faster; verify on the smallest instances.
-            let ring = Ring::new(&init, |_| NoKnowledge::new());
-            let r3 = explore_all_schedules(&ring, ExploreLimits::default(), |r| {
-                satisfies_suspended_deployment(r).is_satisfied()
-            });
+            families.push(("relaxed", Algorithm::Relaxed));
+        }
+        for (label, algorithm) in families {
+            let result = explore_one(algorithm, &init, &explorer);
             push_row(
                 &mut table,
-                "relaxed",
+                label,
                 *n,
                 homes,
-                r3.map(|r| (r.states, r.terminals)),
+                result.map(|r| (r.states, r.terminals)),
             );
         }
     }

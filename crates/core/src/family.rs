@@ -130,22 +130,6 @@ fn table1_bound(
     }
 }
 
-/// Which exploration engine a [`ProblemFamily::explore`] call runs.
-///
-/// Both explore the same quotient and agree on `states`, `terminals`,
-/// the sorted terminal fingerprints and `merge_edges` (pinned by the
-/// differential test tier); they differ in cost model and in the
-/// spanning-tree-shaped diagnostics (`max_depth_seen`, `peak_frontier`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExploreEngine {
-    /// The clone-free DFS ([`Explorer::run`]): reversible apply/undo
-    /// expansion with on-path cycle detection — the production path.
-    Serial,
-    /// The retained clone-based reference oracle
-    /// ([`Explorer::run_serial_reference`]). Differential testing only.
-    Reference,
-}
-
 /// Whether a terminal configuration is acceptable to the exhaustive
 /// explorer: either it satisfies the family's definition outright, or it
 /// is the typed crash-degradation outcome (survivors settled, definition
@@ -174,12 +158,11 @@ pub trait FamilyRules {
     ///
     /// # Errors
     ///
-    /// The type-erased [`ExploreErrorKind`] of the exploration failure.
+    /// See [`ExploreErrorKind`].
     fn explore(
         &self,
         init: &InitialConfig,
         explorer: &Explorer,
-        engine: ExploreEngine,
     ) -> Result<ExploreReport, ExploreErrorKind>;
 
     /// See [`ProblemFamily::worst_cases`].
@@ -231,15 +214,9 @@ where
             &self,
             init: &InitialConfig,
             explorer: &Explorer,
-            engine: ExploreEngine,
         ) -> Result<ExploreReport, ExploreErrorKind> {
             let ring = Ring::new(init, |_| (self.make)());
-            let terminal_ok = |r: &Ring<B>| explore_terminal_ok(&(self.check)(r));
-            match engine {
-                ExploreEngine::Serial => explorer.run(&ring, terminal_ok),
-                ExploreEngine::Reference => explorer.run_serial_reference(&ring, terminal_ok),
-            }
-            .map_err(|e| e.kind())
+            explorer.run(&ring, |r| explore_terminal_ok(&(self.check)(r)))
         }
 
         fn worst_cases(
@@ -302,21 +279,19 @@ pub trait ProblemFamily: Send + Sync {
     }
 
     /// Exhaustively explores every schedule of one instance with the
-    /// bounded model checker (`engine` selects the clone-free production
-    /// DFS or the retained clone-based reference oracle — see
-    /// [`ExploreEngine`]).
+    /// bounded model checker ([`Explorer::run`]), accepting a terminal
+    /// iff [`explore_terminal_ok`] holds for the family's success check.
     ///
     /// # Errors
     ///
-    /// The type-erased exploration failure; a `PredicateViolated` means
-    /// the instance was *disproved*.
+    /// See [`ExploreErrorKind`]; a `PredicateViolated` means the instance
+    /// was *disproved*.
     fn explore(
         &self,
         init: &InitialConfig,
         explorer: &Explorer,
-        engine: ExploreEngine,
     ) -> Result<ExploreReport, ExploreErrorKind> {
-        self.rules(init).explore(init, explorer, engine)
+        self.rules(init).explore(init, explorer)
     }
 
     /// Finds the exact adversarial worst case of every objective in

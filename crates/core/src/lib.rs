@@ -64,8 +64,8 @@ pub use algo1::{FullKnowledge, Learned};
 pub use algo2::{BaseInfo, LogSpace, Role, SegmentId};
 pub use deployment::{Asynchronous, Deployment, DriveMode, Driver, Synchronous};
 pub use family::{
-    explore_terminal_ok, rules, Algorithm, ExploreEngine, Family, FamilyRules, PaperBound,
-    PartialGatheringFamily, ProblemFamily, UniformFullKnowledge, UniformLogSpace, UniformRelaxed,
+    explore_terminal_ok, rules, Algorithm, Family, FamilyRules, PaperBound, PartialGatheringFamily,
+    ProblemFamily, UniformFullKnowledge, UniformLogSpace, UniformRelaxed,
 };
 pub use gathering::{gathering_oracle_brute_force, gathering_oracle_moves, PartialGathering};
 pub use memory_model::{

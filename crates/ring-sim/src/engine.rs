@@ -932,8 +932,11 @@ impl<B: Behavior> Ring<B> {
     /// configuration (`tests/differential_enabled.rs` replays identical
     /// schedules through both and asserts bit-identical executions).
     ///
-    /// `Θ(n + k)` per call; production paths use [`Ring::enabled`] /
-    /// [`Ring::enabled_activations`] instead.
+    /// `Θ(n + k)` per call. The constructors ([`Ring::new`],
+    /// [`Ring::rotated`]) and the packed-state restore seed the
+    /// incremental set from it once; from then on `step`/`apply`/`undo`
+    /// maintain that set in place, and callers read it through
+    /// [`Ring::enabled`] / [`Ring::enabled_activations`].
     pub fn enabled_rescan(&self) -> Vec<Activation> {
         let mut out = Vec::new();
         for (v, q) in self.links.iter().enumerate() {

@@ -47,8 +47,9 @@
 //!   one live ring (no per-child deep clone), and canonical fingerprints
 //!   are maintained incrementally (only the ≤ 2 symbols a step touches
 //!   are re-derived; the min-rotation is recomputed on the patched
-//!   vector). The pre-0.5 clone-based DFS is retained verbatim as
-//!   [`Explorer::run_serial_reference`], the differential oracle.
+//!   vector). The pre-0.5 clone-based DFS lives on unchanged in the
+//!   workspace's `tests/support` as the differential oracle; it is not
+//!   part of the library.
 //!
 //! Livelocks are detected as DFS back-edges on the current path. The
 //! whole report is deterministic, and limits are exact: a limit of `N`
@@ -72,12 +73,14 @@
 //! a side table, and the word then holds the table index tagged with
 //! the top bit. [`u64::MAX`] stays the on-path mark: a packed triple
 //! never sets the top bit, and an escape index never fills the other 63.
+//!
+//! [`canonical_fingerprint`]: crate::canonical::canonical_fingerprint
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::agent::Behavior;
-use crate::canonical::{canonical_fingerprint, fingerprint_of_symbols_sealed, plain_fingerprint};
+use crate::canonical::{fingerprint_of_symbols_sealed, plain_fingerprint};
 use crate::engine::{Ring, StepUndo};
 use crate::error::SimError;
 use crate::scheduler::Activation;
@@ -87,8 +90,6 @@ use crate::scheduler::Activation;
 /// the multiply–xorshift seal for canonical mode), so re-hashing them
 /// through SipHash on every visited-set probe — once per generated child
 /// — is pure waste.
-/// The retained clone-based reference engine keeps the default hasher:
-/// it is preserved as the 0.4 baseline, probes and all.
 #[derive(Default, Clone)]
 pub(crate) struct FpHasher(u64);
 
@@ -169,6 +170,8 @@ pub enum SymmetryMode {
     /// all `n` rotations of a configuration share one
     /// [`canonical_fingerprint`] entry. Sound for anonymous behaviors and
     /// rotation-invariant predicates — see [`crate::canonical`].
+    ///
+    /// [`canonical_fingerprint`]: crate::canonical::canonical_fingerprint
     #[default]
     Rotation,
 }
@@ -184,8 +187,8 @@ pub struct ExploreReport {
     /// Deepest schedule depth attempted: the length of the longest DFS
     /// path. Deterministic, but a property of the DFS spanning tree
     /// rather than of the state graph, so it is excluded from the
-    /// differential-identity guarantees (the reference engine expands
-    /// siblings in the opposite order).
+    /// differential-identity guarantees (the clone-based oracle in
+    /// `tests/support` expands siblings in the opposite order).
     pub max_depth_seen: usize,
     /// Fingerprints of the terminal configurations, sorted ascending —
     /// the key to membership checks such as "does every terminal reached
@@ -195,7 +198,8 @@ pub struct ExploreReport {
     /// Back/cross-edge diagnostic: transitions whose target configuration
     /// had already been visited (diamonds from commuting activations, and
     /// — under symmetry reduction — rotated re-encounters). Equal to
-    /// `edges − (states − 1)`, and identical between the engines.
+    /// `edges − (states − 1)`, and identical to the clone-based
+    /// oracle's.
     pub merge_edges: u64,
     /// Peak count of *live* states the engine held at once: the deepest
     /// stack of non-terminal states on the DFS path (root included).
@@ -215,6 +219,8 @@ impl ExploreReport {
     /// Whether `fingerprint` (from [`canonical_fingerprint`] or
     /// [`plain_fingerprint`], matching the [`SymmetryMode`] the
     /// exploration ran under) is one of the terminal configurations.
+    ///
+    /// [`canonical_fingerprint`]: crate::canonical::canonical_fingerprint
     pub fn contains_terminal(&self, fingerprint: u64) -> bool {
         self.terminal_fingerprints
             .binary_search(&fingerprint)
@@ -263,21 +269,11 @@ mod json_impls {
 }
 
 /// Failures of an exhaustive exploration.
-pub enum ExploreError<B: Behavior + Clone>
-where
-    B::Message: Clone,
-{
-    /// A terminal configuration violates the predicate; the offending ring
-    /// is returned for inspection.
-    ///
-    /// The returned ring's *configuration* (tokens, places, queues,
-    /// inboxes, behavior states, enabled set) is exactly the violating
-    /// state, and its metrics/phase/step bookkeeping is the history of
-    /// the DFS path that reached it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExploreErrorKind {
+    /// A terminal configuration violates the predicate.
     PredicateViolated {
-        /// The violating quiescent configuration.
-        ring: Box<Ring<B>>,
-        /// Schedule depth at which it was reached.
+        /// Schedule depth at which the violation was reached.
         depth: usize,
     },
     /// A configuration repeats along one schedule: an infinite execution
@@ -288,25 +284,6 @@ where
         depth: usize,
     },
     /// `max_states` or `max_depth` exceeded before the space was covered.
-    LimitExceeded(SimError),
-}
-
-/// The shape of an [`ExploreError`] without the embedded ring — `Clone` +
-/// `Eq`, for batch surfaces and reports that must not be generic over the
-/// behavior type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExploreErrorKind {
-    /// See [`ExploreError::PredicateViolated`].
-    PredicateViolated {
-        /// Schedule depth at which the violation was reached.
-        depth: usize,
-    },
-    /// See [`ExploreError::CycleDetected`].
-    CycleDetected {
-        /// Schedule depth at which the repeat was found.
-        depth: usize,
-    },
-    /// See [`ExploreError::LimitExceeded`].
     LimitExceeded(SimError),
 }
 
@@ -331,71 +308,6 @@ impl std::fmt::Display for ExploreErrorKind {
 }
 
 impl std::error::Error for ExploreErrorKind {}
-
-impl<B: Behavior + Clone> ExploreError<B>
-where
-    B::Message: Clone,
-{
-    /// The non-generic shape of this error (drops the embedded ring).
-    pub fn kind(&self) -> ExploreErrorKind {
-        match self {
-            ExploreError::PredicateViolated { depth, .. } => {
-                ExploreErrorKind::PredicateViolated { depth: *depth }
-            }
-            ExploreError::CycleDetected { depth } => {
-                ExploreErrorKind::CycleDetected { depth: *depth }
-            }
-            ExploreError::LimitExceeded(e) => ExploreErrorKind::LimitExceeded(e.clone()),
-        }
-    }
-}
-
-impl<B: Behavior + Clone> std::fmt::Display for ExploreError<B>
-where
-    B::Message: Clone,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.kind().fmt(f)
-    }
-}
-
-impl<B: Behavior + Clone> std::fmt::Debug for ExploreError<B>
-where
-    B::Message: Clone,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // The embedded Ring is not Debug; render the human description.
-        write!(f, "ExploreError({self})")
-    }
-}
-
-impl<B: Behavior + Clone> std::error::Error for ExploreError<B> where B::Message: Clone {}
-
-/// Exhaustively explores every schedule of `ring`, checking `terminal_ok`
-/// at each quiescent configuration — the classic entry point, equivalent
-/// to [`Explorer::run`] with [`SymmetryMode::Off`].
-///
-/// Kept with its original signature (and its original semantics — no
-/// symmetry quotient, so predicates need not be rotation-invariant);
-/// scaling work goes through [`Explorer`].
-///
-/// # Errors
-///
-/// See [`ExploreError`].
-pub fn explore_all_schedules<B>(
-    ring: &Ring<B>,
-    limits: ExploreLimits,
-    terminal_ok: impl FnMut(&Ring<B>) -> bool,
-) -> Result<ExploreReport, ExploreError<B>>
-where
-    B: Behavior + Clone + Hash,
-    B::Message: Clone + Hash,
-{
-    Explorer::new()
-        .limits(limits)
-        .symmetry(SymmetryMode::Off)
-        .run(ring, terminal_ok)
-}
 
 /// Saved pre-step symbols of the ≤ 2 nodes one step touched — what
 /// [`FingerprintCache::revert`] needs to roll the cache back alongside
@@ -633,8 +545,8 @@ pub(crate) struct WalkStats {
 /// state is a cycle; re-entering a finished one folds its remaining
 /// values in without walking it again.
 pub(crate) struct Walker<B: Behavior, V> {
-    /// The live ring: at the root before and after a walk, and at the
-    /// offending terminal after a `PredicateViolated` stop.
+    /// The live ring, at the root before a walk and after one that
+    /// completes.
     pub(crate) ring: Ring<B>,
     pub(crate) cache: FingerprintCache,
     pub(crate) visited: HashMap<u64, u64, FpBuildHasher>,
@@ -779,8 +691,6 @@ where
                     if terminal {
                         stats.terminal_hits += 1;
                         if !search.accept(&self.ring, fp) {
-                            // The live ring stays at the offending
-                            // terminal for the caller to take.
                             return Err(ExploreErrorKind::PredicateViolated { depth });
                         }
                     }
@@ -870,18 +780,6 @@ impl Explorer {
         self
     }
 
-    /// The fingerprint function selected by the symmetry mode.
-    fn fingerprint<B>(&self, ring: &Ring<B>) -> u64
-    where
-        B: Behavior + Hash,
-        B::Message: Hash,
-    {
-        match self.symmetry {
-            SymmetryMode::Off => plain_fingerprint(ring),
-            SymmetryMode::Rotation => canonical_fingerprint(ring),
-        }
-    }
-
     /// Explores every schedule of `ring` with a **clone-free, in-place
     /// DFS** over one live ring: the walker the adversary shares (see the
     /// [module docs](self#one-walker-for-both-searches)), asked for no
@@ -891,33 +789,31 @@ impl Explorer {
     /// [`SymmetryMode::Rotation`] the canonical fingerprint is computed
     /// from a cached symbol vector patched at the ≤ 2 nodes a step
     /// touches (the min-rotation is then recomputed on the patched
-    /// vector) instead of re-deriving all `n` symbols per state. The only
-    /// clone left in the hot path is the violation capture when a
-    /// terminal fails the predicate.
+    /// vector) instead of re-deriving all `n` symbols per state.
     ///
     /// Under [`SymmetryMode::Rotation`] the predicate must be invariant
     /// under rotation and agent relabeling (the Definition 1/2 uniform
     /// deployment predicates are): it is evaluated on one representative
     /// per equivalence class.
     ///
-    /// Livelocks are detected as back-edges on the DFS path, exactly as in
-    /// the retained clone-based reference
-    /// ([`Explorer::run_serial_reference`]), and the deterministic report
-    /// fields (`states`, `terminals`, `terminal_fingerprints`,
-    /// `merge_edges`) are identical to it —
+    /// Livelocks are detected as back-edges on the DFS path. The
+    /// deterministic report fields (`states`, `terminals`,
+    /// `terminal_fingerprints`, `merge_edges`) equal those of the
+    /// clone-based oracle in `tests/support`, which deep-clones the
+    /// parent per child and fingerprints every state from scratch;
     /// `tests/explorer_differential.rs` pins the two against each other.
-    /// `max_depth_seen`/`peak_frontier` may differ from the reference:
-    /// the two DFS engines expand children in opposite sibling order, so
-    /// their spanning trees (and hence first-visit depths) can differ.
+    /// `max_depth_seen`/`peak_frontier` may differ from the oracle's: the
+    /// two expand children in opposite sibling order, so their spanning
+    /// trees (and hence first-visit depths) can differ.
     ///
     /// # Errors
     ///
-    /// See [`ExploreError`].
+    /// See [`ExploreErrorKind`].
     pub fn run<B>(
         &self,
         ring: &Ring<B>,
         terminal_ok: impl FnMut(&Ring<B>) -> bool,
-    ) -> Result<ExploreReport, ExploreError<B>>
+    ) -> Result<ExploreReport, ExploreErrorKind>
     where
         B: Behavior + Clone + Hash,
         B::Message: Clone + Hash,
@@ -944,131 +840,19 @@ impl Explorer {
             terminal_ok,
             terminals: Vec::new(),
         };
-        match walker.walk(self.limits, &mut check) {
-            Ok(_) => {
-                let stats = walker.stats;
-                let mut terminal_fingerprints = check.terminals;
-                terminal_fingerprints.sort_unstable();
-                Ok(ExploreReport {
-                    states: stats.states,
-                    terminals: terminal_fingerprints.len(),
-                    max_depth_seen: stats.max_depth_seen,
-                    terminal_fingerprints,
-                    merge_edges: stats.memo_hits,
-                    peak_frontier: stats.peak_frontier,
-                    instance_fingerprint: None,
-                })
-            }
-            Err(ExploreErrorKind::PredicateViolated { depth }) => {
-                Err(ExploreError::PredicateViolated {
-                    ring: Box::new(walker.ring),
-                    depth,
-                })
-            }
-            Err(ExploreErrorKind::CycleDetected { depth }) => {
-                Err(ExploreError::CycleDetected { depth })
-            }
-            Err(ExploreErrorKind::LimitExceeded(e)) => Err(ExploreError::LimitExceeded(e)),
-        }
-    }
-
-    /// The **retained clone-based reference engine** — the pre-0.5 serial
-    /// DFS that deep-clones the parent ring per child expansion and
-    /// recomputes every fingerprint from scratch. Kept verbatim (modulo
-    /// traceless root cloning) as the differential oracle for the
-    /// clone-free [`run`](Explorer::run), and as the throughput baseline
-    /// of the `explore_scale` bench. Never use it for real exploration.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExploreError`].
-    pub fn run_serial_reference<B>(
-        &self,
-        ring: &Ring<B>,
-        mut terminal_ok: impl FnMut(&Ring<B>) -> bool,
-    ) -> Result<ExploreReport, ExploreError<B>>
-    where
-        B: Behavior + Clone + Hash,
-        B::Message: Clone + Hash,
-    {
-        let limits = self.limits;
-        let mut visited: HashSet<u64> = HashSet::new();
-        let mut on_path: HashSet<u64> = HashSet::new();
-        let mut terminal_fps: Vec<u64> = Vec::new();
-        let mut report = ExploreReport {
-            states: 0,
-            terminals: 0,
-            max_depth_seen: 0,
-            terminal_fingerprints: Vec::new(),
-            merge_edges: 0,
-            peak_frontier: 0,
+        walker.walk(self.limits, &mut check)?;
+        let stats = walker.stats;
+        let mut terminal_fingerprints = check.terminals;
+        terminal_fingerprints.sort_unstable();
+        Ok(ExploreReport {
+            states: stats.states,
+            terminals: terminal_fingerprints.len(),
+            max_depth_seen: stats.max_depth_seen,
+            terminal_fingerprints,
+            merge_edges: stats.memo_hits,
+            peak_frontier: stats.peak_frontier,
             instance_fingerprint: None,
-        };
-
-        enum Frame<B: Behavior + Clone>
-        where
-            B::Message: Clone,
-        {
-            /// Explore this state (push children).
-            Enter(Box<Ring<B>>, usize),
-            /// Pop the path entry for this fingerprint.
-            Leave(u64),
-        }
-
-        let mut stack: Vec<Frame<B>> =
-            vec![Frame::Enter(Box::new(ring.clone_for_exploration()), 0)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Leave(fp) => {
-                    on_path.remove(&fp);
-                }
-                Frame::Enter(state, depth) => {
-                    report.max_depth_seen = report.max_depth_seen.max(depth);
-                    if depth > limits.max_depth {
-                        return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                            limit: limits.max_depth as u64,
-                        }));
-                    }
-                    let fp = self.fingerprint(&state);
-                    if on_path.contains(&fp) {
-                        return Err(ExploreError::CycleDetected { depth });
-                    }
-                    if !visited.insert(fp) {
-                        report.merge_edges += 1;
-                        continue;
-                    }
-                    report.states += 1;
-                    if report.states > limits.max_states {
-                        return Err(ExploreError::LimitExceeded(SimError::StepLimitExceeded {
-                            limit: limits.max_states as u64,
-                        }));
-                    }
-                    if state.enabled_activations().is_empty() {
-                        report.terminals += 1;
-                        terminal_fps.push(fp);
-                        if !terminal_ok(&state) {
-                            return Err(ExploreError::PredicateViolated { ring: state, depth });
-                        }
-                        continue;
-                    }
-                    on_path.insert(fp);
-                    report.peak_frontier = report.peak_frontier.max(on_path.len());
-                    stack.push(Frame::Leave(fp));
-                    // Index loop over the borrowed enabled slice —
-                    // allocation-free in the checker's innermost loop
-                    // (`Activation` is `Copy`; the child is a fresh clone).
-                    for i in 0..state.enabled_activations().len() {
-                        let act = state.enabled_activations()[i];
-                        let mut child = state.as_ref().clone();
-                        child.step(act);
-                        stack.push(Frame::Enter(Box::new(child), depth + 1));
-                    }
-                }
-            }
-        }
-        terminal_fps.sort_unstable();
-        report.terminal_fingerprints = terminal_fps;
-        Ok(report)
+        })
     }
 }
 
@@ -1109,10 +893,10 @@ mod tests {
             hops: 2,
             released: false,
         });
-        let report = explore_all_schedules(&ring, ExploreLimits::default(), |r| {
-            r.staying_positions() == Some(vec![2, 5])
-        })
-        .expect("exploration succeeds");
+        let report = Explorer::new()
+            .symmetry(SymmetryMode::Off)
+            .run(&ring, |r| r.staying_positions() == Some(vec![2, 5]))
+            .expect("exploration succeeds");
         // Two agents, three actions each, fully independent: states form a
         // 4x4 progress grid (0..=3 actions each), minus shared start.
         assert!(report.states >= 10, "states {}", report.states);
@@ -1158,11 +942,11 @@ mod tests {
             hops: 1,
             released: false,
         });
-        let err = explore_all_schedules(&ring, ExploreLimits::default(), |_| false).unwrap_err();
-        match err {
-            ExploreError::PredicateViolated { depth, .. } => assert_eq!(depth, 4),
-            other => panic!("unexpected {other}"),
-        }
+        let err = Explorer::new()
+            .symmetry(SymmetryMode::Off)
+            .run(&ring, |_| false)
+            .unwrap_err();
+        assert_eq!(err, ExploreErrorKind::PredicateViolated { depth: 4 });
     }
 
     /// An agent that ping-pongs between Ready-stay states forever.
@@ -1183,8 +967,14 @@ mod tests {
     fn detects_livelock_as_cycle() {
         let init = InitialConfig::new(3, vec![0]).expect("valid");
         let ring = Ring::new(&init, |_| Spinner);
-        let err = explore_all_schedules(&ring, ExploreLimits::default(), |_| true).unwrap_err();
-        assert!(matches!(err, ExploreError::CycleDetected { .. }), "{err}");
+        let err = Explorer::new()
+            .symmetry(SymmetryMode::Off)
+            .run(&ring, |_| true)
+            .unwrap_err();
+        assert!(
+            matches!(err, ExploreErrorKind::CycleDetected { .. }),
+            "{err}"
+        );
     }
 
     /// Moves forever: an unbounded acyclic walk on the ring… except the
@@ -1204,16 +994,17 @@ mod tests {
         }
     }
 
+    /// The clone-based oracle in the workspace's `tests/support` must
+    /// find the same cycle (`tests/explorer_differential.rs`).
     #[test]
-    fn multi_state_cycles_are_found_by_both_engines() {
+    fn multi_state_cycles_are_detected() {
         let init = InitialConfig::new(4, vec![0, 2]).expect("valid");
         let ring = Ring::new(&init, |_| Orbiter);
-        let dfs = explore_all_schedules(&ring, ExploreLimits::default(), |_| true).unwrap_err();
-        assert!(matches!(dfs, ExploreError::CycleDetected { .. }));
-        let reference = Explorer::new()
-            .run_serial_reference(&ring, |_| true)
+        let err = Explorer::new()
+            .symmetry(SymmetryMode::Off)
+            .run(&ring, |_| true)
             .unwrap_err();
-        assert!(matches!(reference, ExploreError::CycleDetected { .. }));
+        assert!(matches!(err, ExploreErrorKind::CycleDetected { .. }));
     }
 
     #[test]
@@ -1228,7 +1019,7 @@ mod tests {
             .symmetry(SymmetryMode::Off)
             .run(&ring, |_| true)
             .unwrap_err();
-        assert!(matches!(err, ExploreError::LimitExceeded(_)));
+        assert!(matches!(err, ExploreErrorKind::LimitExceeded(_)));
     }
 
     #[test]
@@ -1242,7 +1033,7 @@ mod tests {
             .limits(ExploreLimits::new(1_000_000, 3))
             .run(&ring, |_| true)
             .unwrap_err();
-        assert!(matches!(err, ExploreError::LimitExceeded(_)));
+        assert!(matches!(err, ExploreErrorKind::LimitExceeded(_)));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   missing at a time — the *1-interval connectivity* constraint of
 //!   dynamic-ring models (cf. arXiv:2507.14723). Taking an edge down
 //!   and restoring it *are* scheduler moves: the adversary chooses
-//!   which edge disappears when, and the branch-and-bound searcher in
+//!   which edge disappears when, and the worst-case search in
 //!   [`adversary`](crate::adversary) can therefore synthesize
 //!   worst-case outage schedules. A plan grants a finite outage budget
 //!   ([`FaultPlan::with_edge_outages`]), so every faulted execution

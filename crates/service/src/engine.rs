@@ -1,13 +1,18 @@
 //! The compute kernel: one [`InstanceKey`] in, one rendered report out.
 //!
 //! This is the *only* place the service invokes the verification
-//! engines, and it deliberately pins every free parameter so the result
-//! is a pure function of the key (the cache-soundness requirement):
+//! engines. The result must be a pure function of the key (the
+//! cache-soundness requirement), so every free parameter is pinned:
 //!
-//! * exploration runs [`explore_one`] under the default rotation
-//!   quotient;
-//! * search limits are always [`ExploreLimits::for_instance`];
-//! * certification always uses [`CertifySettings::default`].
+//! * explore and certify cells are the rows of the batch jobs,
+//!   [`ExploreJob::default`] and [`CertifySettings::default`], which
+//!   own their defaults (instance-scaled [`ExploreLimits::for_instance`]
+//!   search limits, the rotation quotient for exploration, the default
+//!   sweep seeds for certification), so a daemon cell and a batch row
+//!   of the same key cannot differ;
+//! * adversary cells search the rotation quotient under
+//!   [`ExploreLimits::for_instance`], and sweep cells run the key's
+//!   schedule preset; no batch computes their rows.
 //!
 //! Reports that carry an `instance_fingerprint` field (`DeployReport`,
 //! `ExploreReport`, `BoundCertificate`) are stamped with the key's
@@ -15,11 +20,11 @@
 //! any payload a client receives.
 
 use ringdeploy_analysis::key::{InstanceKey, JobKind};
-use ringdeploy_analysis::{certify_one, explore_one, worst_case_one, CertifySettings};
+use ringdeploy_analysis::{worst_case_one, CellJob, CertifySettings, ExploreJob};
 use ringdeploy_core::Deployment;
 use ringdeploy_json::{Json, ToJson};
 use ringdeploy_sim::adversary::Adversary;
-use ringdeploy_sim::explore::{ExploreLimits, Explorer, SymmetryMode};
+use ringdeploy_sim::explore::{ExploreLimits, SymmetryMode};
 use ringdeploy_sim::InitialConfig;
 
 /// Computes the report for `key`. Deterministic: equal keys produce
@@ -31,8 +36,6 @@ use ringdeploy_sim::InitialConfig;
 /// engine failures; the daemon turns it into an `error` frame.
 pub fn compute(key: &InstanceKey) -> Result<Json, String> {
     let init = instantiate(key)?;
-    let n = init.ring_size();
-    let k = init.agent_count();
     let fingerprint = key.fingerprint();
     match key.kind {
         JobKind::Sweep => {
@@ -47,9 +50,10 @@ pub fn compute(key: &InstanceKey) -> Result<Json, String> {
             Ok(report.to_json())
         }
         JobKind::Explore => {
-            let explorer = Explorer::new().limits(ExploreLimits::for_instance(n, k));
-            let mut report = explore_one(key.algorithm, &init, &explorer)
-                .map_err(|e| format!("{}: {e}", key.label()))?;
+            let mut report = ExploreJob::default()
+                .row(key, &init)
+                .map_err(|e| format!("{}: {e}", key.label()))?
+                .report;
             report.instance_fingerprint = Some(fingerprint);
             Ok(report.to_json())
         }
@@ -58,7 +62,10 @@ pub fn compute(key: &InstanceKey) -> Result<Json, String> {
                 .objective
                 .ok_or_else(|| format!("{}: adversary key has no objective", key.label()))?;
             let adversary = Adversary::new()
-                .limits(ExploreLimits::for_instance(n, k))
+                .limits(ExploreLimits::for_instance(
+                    init.ring_size(),
+                    init.agent_count(),
+                ))
                 .symmetry(SymmetryMode::Rotation);
             let worst = worst_case_one(key.algorithm, &init, &adversary, objective)
                 .map_err(|e| format!("{}: {e}", key.label()))?;
@@ -67,20 +74,18 @@ pub fn compute(key: &InstanceKey) -> Result<Json, String> {
             Ok(worst.to_json())
         }
         JobKind::Certify => {
-            let objective = key
-                .objective
-                .ok_or_else(|| format!("{}: certify key has no objective", key.label()))?;
-            let tier = key
-                .tier
-                .ok_or_else(|| format!("{}: certify key has no tier", key.label()))?;
-            let mut cert = certify_one(
-                key.algorithm,
-                &init,
-                objective,
-                tier,
-                &CertifySettings::default(),
-            )
-            .map_err(|e| format!("{}: {e}", key.label()))?;
+            // The batch job expects both fields; a malformed key gets an
+            // error here instead.
+            if key.objective.is_none() {
+                return Err(format!("{}: certify key has no objective", key.label()));
+            }
+            if key.tier.is_none() {
+                return Err(format!("{}: certify key has no tier", key.label()));
+            }
+            let mut cert = CertifySettings::default()
+                .row(key, &init)
+                .map_err(|e| format!("{}: {e}", key.label()))?
+                .certificate;
             cert.instance_fingerprint = Some(fingerprint);
             Ok(cert.to_json())
         }
@@ -146,6 +151,27 @@ mod tests {
     }
 
     #[test]
+    fn malformed_certify_keys_become_errors_not_panics() {
+        use ringdeploy_analysis::{EvidenceTier, Objective};
+        let key = InstanceKey {
+            kind: JobKind::Certify,
+            workload: Workload::Uniform { n: 8, k: 2 },
+            schedule: None,
+            tier: Some(EvidenceTier::Adversarial),
+            ..sweep_key()
+        };
+        let err = compute(&key).unwrap_err();
+        assert!(err.contains("certify key has no objective"), "{err}");
+        let key = InstanceKey {
+            objective: Some(Objective::TotalMoves),
+            tier: None,
+            ..key
+        };
+        let err = compute(&key).unwrap_err();
+        assert!(err.contains("certify key has no tier"), "{err}");
+    }
+
+    #[test]
     fn certify_payloads_render_the_batch_rows_of_their_keys() {
         use ringdeploy_analysis::{Certify, EvidenceTier};
         // The batch certifies an instance's objectives together; the
@@ -171,6 +197,34 @@ mod tests {
                 assert_eq!(
                     compute(&row.cell).expect("cell computes").to_string(),
                     certificate.to_json().to_string(),
+                    "{}",
+                    row.cell.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn explore_payloads_render_the_batch_rows_of_their_keys() {
+        use ringdeploy_analysis::Explore;
+        // A daemon explore cell is the batch row of its key, fingerprint
+        // stamp included, under faults as well as without.
+        let plans = [
+            ringdeploy_sim::FaultPlan::none(),
+            ringdeploy_sim::FaultPlan::none().with_crash(ringdeploy_sim::AgentId(1), 2),
+        ];
+        for faults in plans {
+            let batch = Explore::new()
+                .algorithms([Algorithm::FullKnowledge, Algorithm::partial_gathering(2)])
+                .workload(Workload::Random { n: 8, k: 3 })
+                .seeds([1, 2])
+                .faults(faults);
+            for row in batch.run().expect("batch succeeds") {
+                let mut report = row.report;
+                report.instance_fingerprint = Some(row.cell.fingerprint());
+                assert_eq!(
+                    compute(&row.cell).expect("cell computes").to_string(),
+                    report.to_json().to_string(),
                     "{}",
                     row.cell.label()
                 );

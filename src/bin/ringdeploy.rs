@@ -160,14 +160,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--sync" => opts.schedule = Schedule::Synchronous,
             "--explore" => opts.explore = true,
-            "--adversary" => {
-                opts.adversary = Some(match value(&mut i)?.as_str() {
-                    "moves" | "total-moves" => Objective::TotalMoves,
-                    "activations" | "total-activations" => Objective::TotalActivations,
-                    "memory" | "peak-memory-bits" => Objective::PeakMemoryBits,
-                    other => return Err(format!("unknown objective `{other}`")),
-                });
-            }
+            "--adversary" => opts.adversary = Some(parse_objective(&value(&mut i)?)?),
             "--symmetry" => {
                 opts.symmetry = match value(&mut i)?.as_str() {
                     "off" | "none" => SymmetryMode::Off,
@@ -200,15 +193,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if opts.homes.is_none() && opts.k.is_none() {
         return Err(format!("one of --homes / --k is required\n{}", usage()));
     }
-    if let Some(g) = opts.g {
-        if !opts.algo.name().starts_with("partial-gathering") {
-            return Err(format!(
-                "--g only applies to --algo partial-gathering\n{}",
-                usage()
-            ));
-        }
-        opts.algo = Algorithm::partial_gathering(g);
-    }
+    opts.algo = with_group_size(opts.algo, opts.g, usage())?;
     if opts.tier_set && !opts.certify {
         return Err(format!("--tier requires --certify\n{}", usage()));
     }
@@ -235,6 +220,31 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         ));
     }
     Ok(opts)
+}
+
+/// Parses an objective name: `moves`, `activations` or `memory`, or the
+/// objective's full name.
+fn parse_objective(spec: &str) -> Result<Objective, String> {
+    match spec {
+        "moves" | "total-moves" => Ok(Objective::TotalMoves),
+        "activations" | "total-activations" => Ok(Objective::TotalActivations),
+        "memory" | "peak-memory-bits" => Ok(Objective::PeakMemoryBits),
+        other => Err(format!("unknown objective `{other}`")),
+    }
+}
+
+/// Folds `--g` into the partial-gathering family `algo`; `usage` is the
+/// text the error carries.
+fn with_group_size(algo: Algorithm, g: Option<usize>, usage: &str) -> Result<Algorithm, String> {
+    let Some(g) = g else {
+        return Ok(algo);
+    };
+    if !algo.name().starts_with("partial-gathering") {
+        return Err(format!(
+            "--g only applies to --algo partial-gathering\n{usage}"
+        ));
+    }
+    Ok(Algorithm::partial_gathering(g))
 }
 
 /// Parses `--faults`: comma-separated `crash=<agent>@<step>` and
@@ -573,7 +583,6 @@ mod service_cli {
         parse_response, serve_stdio, Backpressure, Client, DaemonConfig, JobSpec, Request,
         Response, Server,
     };
-    use ringdeploy::sim::adversary::Objective;
     use ringdeploy::Algorithm;
     use ringdeploy_json::ToJson;
 
@@ -730,14 +739,7 @@ mod service_cli {
                         .collect();
                     seeds = parsed?;
                 }
-                "--objective" => {
-                    objectives.push(match value(args, &mut i)?.as_str() {
-                        "moves" | "total-moves" => Objective::TotalMoves,
-                        "activations" | "total-activations" => Objective::TotalActivations,
-                        "memory" | "peak-memory-bits" => Objective::PeakMemoryBits,
-                        other => return Err(format!("unknown objective `{other}`")),
-                    });
-                }
+                "--objective" => objectives.push(super::parse_objective(&value(args, &mut i)?)?),
                 "--tier" => {
                     let spec = value(args, &mut i)?;
                     tier = EvidenceTier::from_name(&spec)
@@ -761,15 +763,7 @@ mod service_cli {
             i += 1;
         }
         let addr = addr.expect("dispatched on --connect");
-        if let Some(g) = g {
-            if !algo.name().starts_with("partial-gathering") {
-                return Err(format!(
-                    "--g only applies to --algo partial-gathering\n{}",
-                    usage()
-                ));
-            }
-            algo = Algorithm::partial_gathering(g);
-        }
+        let algo = super::with_group_size(algo, g, usage())?;
         // Retry transient connect failures (a daemon launched just
         // before us may still be binding its listener).
         let mut client = Client::connect_with_retry(&addr, 5, std::time::Duration::from_millis(50))

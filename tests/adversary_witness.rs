@@ -1,5 +1,5 @@
 //! Witness-replay round trips: every adversarial worst case must be
-//! **independently reproducible**. The branch-and-bound returns its
+//! **independently reproducible**. The worst-case search returns its
 //! worst schedule as a `Vec` of scheduler picks; replaying that log
 //! through the stock [`Replay`] scheduler on a *fresh* ring — no shared
 //! state with the search — must reach quiescence with exactly the

@@ -8,9 +8,7 @@
 //!   the configuration graph is acyclic.
 
 use ringdeploy::analysis::explore_one;
-use ringdeploy::sim::explore::{
-    explore_all_schedules, ExploreLimits, ExploreReport, Explorer, SymmetryMode,
-};
+use ringdeploy::sim::explore::{ExploreLimits, ExploreReport, Explorer, SymmetryMode};
 use ringdeploy::sim::{satisfies_halting_deployment, satisfies_suspended_deployment};
 use ringdeploy::{
     Algorithm, FullKnowledge, InitialConfig, LogSpace, NoKnowledge, Ring, TerminatingEstimator,
@@ -45,10 +43,10 @@ fn algo1_correct_under_all_schedules() {
         let k = homes.len();
         let init = InitialConfig::new(n, homes.clone()).expect("valid");
         let ring = Ring::new(&init, |_| FullKnowledge::new(k));
-        let report = explore_all_schedules(&ring, ExploreLimits::default(), |r| {
-            satisfies_halting_deployment(r).is_satisfied()
-        })
-        .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: {e}"));
+        let report = Explorer::new()
+            .symmetry(SymmetryMode::Off)
+            .run(&ring, |r| satisfies_halting_deployment(r).is_satisfied())
+            .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: {e}"));
         assert!(report.terminals >= 1);
         assert!(report.states > 1);
     }
@@ -65,10 +63,10 @@ fn algo2_correct_under_all_schedules() {
         let k = homes.len();
         let init = InitialConfig::new(n, homes.clone()).expect("valid");
         let ring = Ring::new(&init, |_| LogSpace::new(k));
-        let report = explore_all_schedules(&ring, ExploreLimits::default(), |r| {
-            satisfies_halting_deployment(r).is_satisfied()
-        })
-        .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: {e}"));
+        let report = Explorer::new()
+            .symmetry(SymmetryMode::Off)
+            .run(&ring, |r| satisfies_halting_deployment(r).is_satisfied())
+            .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: {e}"));
         assert!(report.terminals >= 1);
     }
 }
@@ -84,10 +82,10 @@ fn relaxed_correct_under_all_schedules() {
     ] {
         let init = InitialConfig::new(n, homes.clone()).expect("valid");
         let ring = Ring::new(&init, |_| NoKnowledge::new());
-        let report = explore_all_schedules(&ring, ExploreLimits::default(), |r| {
-            satisfies_suspended_deployment(r).is_satisfied()
-        })
-        .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: {e}"));
+        let report = Explorer::new()
+            .symmetry(SymmetryMode::Off)
+            .run(&ring, |r| satisfies_suspended_deployment(r).is_satisfied())
+            .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: {e}"));
         assert!(report.terminals >= 1, "n={n} homes={homes:?}");
     }
 }
@@ -272,9 +270,9 @@ fn strawman_violation_is_found_by_exploration() {
     // after 4 hops, which can never be uniform (8/5 needs gaps 1 and 2).
     let init = InitialConfig::new(8, vec![0, 1, 2, 3, 4]).expect("valid");
     let ring = Ring::new(&init, |_| TerminatingEstimator::new());
-    let result = explore_all_schedules(&ring, ExploreLimits::default(), |r| {
-        satisfies_halting_deployment(r).is_satisfied()
-    });
+    let result = Explorer::new()
+        .symmetry(SymmetryMode::Off)
+        .run(&ring, |r| satisfies_halting_deployment(r).is_satisfied());
     assert!(result.is_err(), "the strawman's failure must be discovered");
 }
 
@@ -283,10 +281,10 @@ fn exploration_scales_report_sanity() {
     // Sanity on the report fields for a two-agent instance.
     let init = InitialConfig::new(6, vec![0, 3]).expect("valid");
     let ring = Ring::new(&init, |_| FullKnowledge::new(2));
-    let report = explore_all_schedules(&ring, ExploreLimits::default(), |r| {
-        satisfies_halting_deployment(r).is_satisfied()
-    })
-    .expect("explore");
+    let report = Explorer::new()
+        .symmetry(SymmetryMode::Off)
+        .run(&ring, |r| satisfies_halting_deployment(r).is_satisfied())
+        .expect("explore");
     // Each agent: 1 boot + 6 selection arrivals + deployment ≤ 3 hops,
     // so depth is bounded by ~20 actions and the state count by their
     // product.

@@ -4,16 +4,18 @@
 //!   executions appears in the exhaustive explorer's terminal set — the
 //!   explorer really does cover everything sampling can find;
 //! * the clone-free DFS reports identical state/terminal counts, terminal
-//!   fingerprints and merge-edge diagnostics to the retained clone-based
-//!   reference, across all five problem families × FIFO/LIFO link
-//!   disciplines, and both engines agree on *whether* an instance fails
-//!   (a family that breaks under LIFO overtaking must be rejected by
-//!   both);
+//!   fingerprints and merge-edge diagnostics to the clone-based
+//!   reference in `support` ([`reference_explore`]), across all five
+//!   problem families × FIFO/LIFO link disciplines and on the
+//!   `explore_scale` bench instances, and both agree on *whether* an
+//!   instance fails (a family that breaks under LIFO overtaking must be
+//!   rejected by both);
 //! * limit enforcement is exact: the `max_states` boundary between
 //!   success and `LimitExceeded` sits at exactly the state count of the
 //!   space for both engines and for the adversary.
 
-use ringdeploy::core::ExploreEngine;
+mod support;
+
 use ringdeploy::sim::adversary::{Adversary, AdversaryError, Objective};
 use ringdeploy::sim::canonical::{canonical_fingerprint, plain_fingerprint};
 use ringdeploy::sim::explore::{
@@ -22,9 +24,10 @@ use ringdeploy::sim::explore::{
 use ringdeploy::sim::scheduler::Random;
 use ringdeploy::sim::{
     satisfies_halting_deployment, satisfies_partial_gathering, satisfies_suspended_deployment,
-    Behavior, LinkDiscipline, RunLimits,
+    Action, Behavior, LinkDiscipline, Observation, RunLimits,
 };
 use ringdeploy::{FullKnowledge, InitialConfig, LogSpace, NoKnowledge, PartialGathering, Ring};
+use support::reference_explore;
 
 fn explore<B>(init: &InitialConfig, make: impl Fn() -> B, halts: bool) -> ExploreReport
 where
@@ -158,10 +161,8 @@ where
         }
     };
     let ring = Ring::new(init, |_| make());
-    let reference = Explorer::new()
-        .symmetry(symmetry)
-        .run_serial_reference(&ring, pred)
-        .expect("reference");
+    let reference =
+        reference_explore(&ring, ExploreLimits::default(), symmetry, pred).expect("reference");
     let report = Explorer::new()
         .symmetry(symmetry)
         .run(&ring, pred)
@@ -197,18 +198,15 @@ fn plain_mode_membership_uses_plain_fingerprints() {
 fn both_engines_report_limit_errors() {
     let init = InitialConfig::new(10, vec![0, 1, 2]).expect("valid");
     let ring = Ring::new(&init, |_| FullKnowledge::new(3));
-    let explorer = Explorer::new().limits(ExploreLimits::new(10, 100_000));
-    let dfs = explorer
+    let limits = ExploreLimits::new(10, 100_000);
+    let dfs = Explorer::new()
+        .limits(limits)
         .run(&ring, |_| true)
         .expect_err("ten states cannot cover the space");
-    assert!(matches!(dfs.kind(), ExploreErrorKind::LimitExceeded(_)));
-    let reference = explorer
-        .run_serial_reference(&ring, |_| true)
+    assert!(matches!(dfs, ExploreErrorKind::LimitExceeded(_)));
+    let reference = reference_explore(&ring, limits, SymmetryMode::Rotation, |_| true)
         .expect_err("ten states cannot cover the space");
-    assert!(matches!(
-        reference.kind(),
-        ExploreErrorKind::LimitExceeded(_)
-    ));
+    assert!(matches!(reference, ExploreErrorKind::LimitExceeded(_)));
 }
 
 /// The `max_states` budget is exact: the boundary between success and
@@ -225,25 +223,25 @@ fn limit_boundary_is_engine_independent() {
         .run(&ring, pred)
         .expect("unlimited exploration succeeds")
         .states;
-    let at = |max_states: usize| {
-        Explorer::new()
-            .symmetry(SymmetryMode::Rotation)
-            .limits(ExploreLimits::new(max_states, 100_000))
-    };
-    for engine in [ExploreEngine::Serial, ExploreEngine::Reference] {
-        let run = |explorer: Explorer| match engine {
-            ExploreEngine::Serial => explorer.run(&ring, pred).map_err(|e| e.kind()),
-            ExploreEngine::Reference => explorer
-                .run_serial_reference(&ring, pred)
-                .map_err(|e| e.kind()),
+    for reference in [false, true] {
+        let run = |max_states: usize| {
+            let limits = ExploreLimits::new(max_states, 100_000);
+            if reference {
+                reference_explore(&ring, limits, SymmetryMode::Rotation, pred)
+            } else {
+                Explorer::new()
+                    .symmetry(SymmetryMode::Rotation)
+                    .limits(limits)
+                    .run(&ring, pred)
+            }
         };
         assert!(
-            run(at(states)).is_ok(),
-            "{engine:?}: a budget of exactly {states} states must succeed"
+            run(states).is_ok(),
+            "reference={reference}: a budget of exactly {states} states must succeed"
         );
         assert!(
-            matches!(run(at(states - 1)), Err(ExploreErrorKind::LimitExceeded(_))),
-            "{engine:?}: a budget of {} states must be exceeded",
+            matches!(run(states - 1), Err(ExploreErrorKind::LimitExceeded(_))),
+            "reference={reference}: a budget of {} states must be exceeded",
             states - 1
         );
     }
@@ -278,14 +276,14 @@ fn limit_boundary_is_engine_independent() {
     );
 }
 
-/// Runs one engine over one family instance under one link discipline,
-/// type-erasing the error to its kind.
+/// Runs the reference (`reference`) or the in-place DFS over one family
+/// instance under one link discipline.
 fn run_engine<B>(
     init: &InitialConfig,
     make: &impl Fn() -> B,
     pred: &impl Fn(&Ring<B>) -> bool,
     discipline: LinkDiscipline,
-    engine: ExploreEngine,
+    reference: bool,
 ) -> Result<ExploreReport, ExploreErrorKind>
 where
     B: Behavior + Clone + std::hash::Hash,
@@ -293,18 +291,15 @@ where
 {
     let mut ring = Ring::new(init, |_| make());
     ring.set_link_discipline(discipline);
-    let explorer =
+    let limits = ExploreLimits::for_instance(init.ring_size(), init.agent_count());
+    if reference {
+        reference_explore(&ring, limits, SymmetryMode::Rotation, pred)
+    } else {
         Explorer::new()
             .symmetry(SymmetryMode::Rotation)
-            .limits(ExploreLimits::for_instance(
-                init.ring_size(),
-                init.agent_count(),
-            ));
-    let result = match engine {
-        ExploreEngine::Reference => explorer.run_serial_reference(&ring, pred),
-        ExploreEngine::Serial => explorer.run(&ring, pred),
-    };
-    result.map_err(|e| e.kind())
+            .limits(limits)
+            .run(&ring, pred)
+    }
 }
 
 /// One family × discipline leg: the reference and the in-place DFS must
@@ -325,14 +320,14 @@ fn assert_family_agrees<B>(
     B: Behavior + Clone + std::hash::Hash,
     B::Message: Clone + std::hash::Hash,
 {
-    let reference = run_engine(init, &make, &pred, discipline, ExploreEngine::Reference);
+    let reference = run_engine(init, &make, &pred, discipline, true);
     if discipline == LinkDiscipline::Fifo {
         assert!(
             reference.is_ok(),
             "{label}: every family must verify under FIFO (the paper's model): {reference:?}"
         );
     }
-    let serial = run_engine(init, &make, &pred, discipline, ExploreEngine::Serial);
+    let serial = run_engine(init, &make, &pred, discipline, false);
     match (&reference, &serial) {
         (Ok(want), Ok(got)) => {
             assert_eq!(want.states, got.states, "{label} {discipline:?}");
@@ -393,6 +388,97 @@ fn five_families_agree_across_engines_and_disciplines() {
             |r| satisfies_partial_gathering(r, 3).is_satisfied(),
             discipline,
             "partial-gathering g=3",
+        );
+    }
+}
+
+/// The six `explore_scale` bench instances, which the bench no longer
+/// checks against the reference: the same quadruple check as the family
+/// legs above, under FIFO links (the bench's model).
+#[test]
+fn explore_scale_instances_match_the_reference() {
+    let fifo = LinkDiscipline::Fifo;
+    let init = |n: usize, homes: &[usize]| InitialConfig::new(n, homes.to_vec()).expect("valid");
+    let quarter = init(12, &[0, 3, 6, 9]);
+    assert_family_agrees(
+        &quarter,
+        || FullKnowledge::new(4),
+        |r| satisfies_halting_deployment(r).is_satisfied(),
+        fifo,
+        "algo1 n=12 l=4",
+    );
+    assert_family_agrees(
+        &quarter,
+        || LogSpace::new(4),
+        |r| satisfies_halting_deployment(r).is_satisfied(),
+        fifo,
+        "algo2 n=12 l=4",
+    );
+    assert_family_agrees(
+        &quarter,
+        NoKnowledge::new,
+        |r| satisfies_suspended_deployment(r).is_satisfied(),
+        fifo,
+        "relaxed n=12 l=4",
+    );
+    assert_family_agrees(
+        &init(16, &[0, 4, 8, 12]),
+        || FullKnowledge::new(4),
+        |r| satisfies_halting_deployment(r).is_satisfied(),
+        fifo,
+        "algo1 n=16 l=4",
+    );
+    assert_family_agrees(
+        &init(12, &[0, 2, 4, 6, 8, 10]),
+        || FullKnowledge::new(6),
+        |r| satisfies_halting_deployment(r).is_satisfied(),
+        fifo,
+        "algo1 n=12 l=6",
+    );
+    assert_family_agrees(
+        &init(12, &[0, 1, 2, 3]),
+        NoKnowledge::new,
+        |r| satisfies_suspended_deployment(r).is_satisfied(),
+        fifo,
+        "relaxed n=12 l=1",
+    );
+}
+
+/// Moves forever: the finite ring forces its configurations to repeat
+/// through a multi-state cycle (never a self-loop).
+#[derive(Clone, Hash, PartialEq, Eq)]
+struct Orbiter;
+
+impl Behavior for Orbiter {
+    type Message = ();
+    fn act(&mut self, _obs: &Observation<'_, ()>) -> Action<()> {
+        Action::moving()
+    }
+    fn memory_bits(&self) -> usize {
+        1
+    }
+}
+
+/// Back-edge detection beyond self-loops, in both engines and both
+/// symmetry modes.
+#[test]
+fn multi_state_cycles_are_found_by_both_engines() {
+    let init = InitialConfig::new(4, vec![0, 2]).expect("valid");
+    let ring = Ring::new(&init, |_| Orbiter);
+    for symmetry in [SymmetryMode::Off, SymmetryMode::Rotation] {
+        let dfs = Explorer::new()
+            .symmetry(symmetry)
+            .run(&ring, |_| true)
+            .unwrap_err();
+        assert!(
+            matches!(dfs, ExploreErrorKind::CycleDetected { .. }),
+            "{symmetry:?}: {dfs}"
+        );
+        let reference =
+            reference_explore(&ring, ExploreLimits::default(), symmetry, |_| true).unwrap_err();
+        assert!(
+            matches!(reference, ExploreErrorKind::CycleDetected { .. }),
+            "{symmetry:?}: {reference}"
         );
     }
 }

@@ -4,8 +4,8 @@
 //! instance on every observable the verification stack reports — seeded
 //! random trajectories (canonical and plain fingerprints, the full
 //! schedule-state hash, the enabled set), the exhaustive explorer's
-//! report quadruple under `ExploreEngine::{Reference, Serial}`, and the
-//! daemon's cache identity (canonical `InstanceKey`
+//! report quadruple under both the in-place DFS and the clone-based
+//! reference in `support`, and the daemon's cache identity (canonical `InstanceKey`
 //! bytes and FNV fingerprints) — across all five problem families and
 //! both link disciplines.
 //!
@@ -15,12 +15,14 @@
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
+mod support;
+
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use ringdeploy::core::{explore_terminal_ok, ExploreEngine};
+use ringdeploy::core::explore_terminal_ok;
 use ringdeploy::sim::canonical::{canonical_fingerprint, plain_fingerprint};
-use ringdeploy::sim::explore::{ExploreReport, Explorer, SymmetryMode};
+use ringdeploy::sim::explore::{ExploreLimits, ExploreReport, Explorer, SymmetryMode};
 use ringdeploy::sim::scheduler::Random;
 use ringdeploy::sim::{
     satisfies_halting_deployment, satisfies_partial_gathering, satisfies_suspended_deployment,
@@ -30,6 +32,7 @@ use ringdeploy::{
     Algorithm, FaultPlan, FullKnowledge, InitialConfig, LogSpace, NoKnowledge, PartialGathering,
     Ring, Schedule, Sweep, Workload,
 };
+use support::reference_explore;
 
 fn schedule_hash<B>(ring: &Ring<B>) -> u64
 where
@@ -73,12 +76,13 @@ where
     )
 }
 
-/// Explores `init` exhaustively under one engine.
+/// Explores `init` exhaustively under the reference (`reference`) or the
+/// in-place DFS.
 fn explore_report<B>(
     init: &InitialConfig,
     make: &dyn Fn() -> B,
     pred: &dyn Fn(&Ring<B>) -> bool,
-    engine: ExploreEngine,
+    reference: bool,
     label: &str,
 ) -> ExploreReport
 where
@@ -86,12 +90,19 @@ where
     B::Message: Clone + Hash,
 {
     let ring = Ring::new(init, |_| make());
-    let explorer = Explorer::new().symmetry(SymmetryMode::Rotation);
-    let result = match engine {
-        ExploreEngine::Reference => explorer.run_serial_reference(&ring, pred),
-        ExploreEngine::Serial => explorer.run(&ring, pred),
+    let result = if reference {
+        reference_explore(
+            &ring,
+            ExploreLimits::default(),
+            SymmetryMode::Rotation,
+            pred,
+        )
+    } else {
+        Explorer::new()
+            .symmetry(SymmetryMode::Rotation)
+            .run(&ring, pred)
     };
-    result.unwrap_or_else(|e| panic!("{label} {engine:?}: exploration failed: {e}"))
+    result.unwrap_or_else(|e| panic!("{label} reference={reference}: exploration failed: {e}"))
 }
 
 /// The report fields every engine must agree on.
@@ -125,14 +136,14 @@ fn assert_empty_plan_invisible<B>(
             assert_eq!(a, b, "{label} {discipline:?} seed {seed}");
         }
     }
-    let reference = explore_report(plain, make, pred, ExploreEngine::Reference, label);
+    let reference = explore_report(plain, make, pred, true, label);
     for (side, init) in [("plain", plain), ("explicit empty plan", &explicit)] {
-        for engine in [ExploreEngine::Reference, ExploreEngine::Serial] {
-            let report = explore_report(init, make, pred, engine, label);
+        for by_reference in [true, false] {
+            let report = explore_report(init, make, pred, by_reference, label);
             assert_eq!(
                 quadruple(&report),
                 quadruple(&reference),
-                "{label} {engine:?} {side}"
+                "{label} reference={by_reference} {side}"
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Fault-schedule witness replay: the adversarial worst case of a
 //! *faulty* instance must be independently reproducible, exactly like
 //! the fault-free round trips in `adversary_witness.rs`. Under a
-//! [`FaultPlan`] the branch-and-bound's move set grows — edge-outage
+//! [`FaultPlan`] the worst-case search's move set grows — edge-outage
 //! moves are adversary-controllable picks and crash-stops fire
 //! deterministically inside the steps of the crashing agent — and the
 //! returned witness records the complete schedule including any fault

@@ -69,8 +69,7 @@ where
             let explored = Explorer::new()
                 .limits(limits())
                 .symmetry(symmetry)
-                .run(&ring, pred)
-                .map_err(|e| e.kind());
+                .run(&ring, pred);
             h = fnv1a(h, format!("{tag} explore {explored:?}\n").as_bytes());
             let adversary = Adversary::new().limits(limits()).symmetry(symmetry);
             for objective in Objective::ALL {
