@@ -301,8 +301,9 @@ impl From<AdversaryError> for CertifyErrorKind {
 /// `algorithm` — trait-routed through
 /// [`ProblemFamily::worst_case`](ringdeploy_core::ProblemFamily::worst_case),
 /// mirroring [`explore_one`](crate::explore_one). The CLI's
-/// `--adversary` mode and the daemon's adversary cells route through
-/// here; [`certify_all`] asks the family for every objective at once.
+/// `--adversary` mode and [`AdversaryJob::row`](CellJob::row) route
+/// through here; [`certify_all`] and [`AdversaryJob`]'s
+/// [`rows`](CellJob::rows) ask the family for every objective at once.
 ///
 /// # Errors
 ///
@@ -314,6 +315,56 @@ pub fn worst_case_one(
     objective: Objective,
 ) -> Result<WorstCase, AdversaryError> {
     algorithm.worst_case(init, adversary, objective)
+}
+
+/// The per-cell job of `ringdeployd`'s adversary cells: the exact worst
+/// case of the key's objective over the rotation quotient
+/// ([`SymmetryMode::Rotation`]) under [`ExploreLimits::for_instance`].
+/// [`rows`](CellJob::rows) answers a unit's objectives from one
+/// [`ProblemFamily::worst_cases`](ringdeploy_core::ProblemFamily::worst_cases)
+/// walk; each entry equals [`row`](CellJob::row) of its key. No batch
+/// runs it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AdversaryJob;
+
+impl AdversaryJob {
+    fn adversary(init: &InitialConfig) -> Adversary {
+        Adversary::new()
+            .limits(ExploreLimits::for_instance(
+                init.ring_size(),
+                init.agent_count(),
+            ))
+            .symmetry(SymmetryMode::Rotation)
+    }
+}
+
+impl CellJob for AdversaryJob {
+    const KIND: JobKind = JobKind::Adversary;
+    type Row = WorstCase;
+    type Error = AdversaryError;
+
+    fn row(&self, key: &InstanceKey, init: &InitialConfig) -> Result<WorstCase, AdversaryError> {
+        let objective = key.objective.expect("adversary keys carry an objective");
+        worst_case_one(key.algorithm, init, &Self::adversary(init), objective)
+    }
+
+    fn rows(
+        &self,
+        keys: &[&InstanceKey],
+        init: &InitialConfig,
+    ) -> Vec<Result<WorstCase, AdversaryError>> {
+        let objectives: Vec<Objective> = keys
+            .iter()
+            .map(|key| key.objective.expect("adversary keys carry an objective"))
+            .collect();
+        match keys[0]
+            .algorithm
+            .worst_cases(init, &Self::adversary(init), &objectives)
+        {
+            Ok(worst) => worst.into_iter().map(Ok).collect(),
+            Err(error) => keys.iter().map(|_| Err(error.clone())).collect(),
+        }
+    }
 }
 
 /// The objective's value in a completed run's report.

@@ -11,12 +11,13 @@
 //!
 //! A [`Batch`] runs a per-cell [`CellJob`] over its grid and streams the
 //! rows in key order. Keys that differ only in their objective are one
-//! unit of work, handed to [`CellJob::rows`] together, so a job can
-//! answer an instance's objectives from one computation; keys without an
-//! objective are units of their own. [`Sweep`](crate::Sweep),
-//! [`Explore`](crate::Explore) and [`Certify`](crate::Certify) are its
-//! three instantiations and add only their kind-specific setters; the
-//! daemon expands its jobs through the same [`Grid`], so a batch row and
+//! unit of work ([`objective_units`]), handed to [`CellJob::rows`]
+//! together, so a job can answer an instance's objectives from one
+//! computation; keys without an objective are units of their own.
+//! [`Sweep`](crate::Sweep), [`Explore`](crate::Explore) and
+//! [`Certify`](crate::Certify) are its three instantiations and add only
+//! their kind-specific setters; the daemon expands its jobs through the
+//! same [`Grid`] and splits them into the same units, so a batch row and
 //! a cached daemon row of the same cell carry the same key.
 
 use std::collections::HashMap;
@@ -422,7 +423,9 @@ type CellResult<J> = Result<<J as CellJob>::Row, BatchError<<J as CellJob>::Erro
 /// Splits `keys` into units of work: the indices of keys equal but for
 /// their objective, each unit in key order and the units ordered by
 /// their first key. A key without an objective is a unit of its own.
-fn objective_units(keys: &[InstanceKey]) -> Vec<Vec<usize>> {
+/// [`Batch::stream`] and the `ringdeployd` actor both dispatch these
+/// units, so an instance's objectives reach [`CellJob::rows`] together.
+pub fn objective_units(keys: &[InstanceKey]) -> Vec<Vec<usize>> {
     let mut units: Vec<Vec<usize>> = Vec::new();
     let mut by_instance: HashMap<InstanceKey, usize> = HashMap::new();
     for (index, key) in keys.iter().enumerate() {

@@ -59,8 +59,9 @@ pub mod sweep;
 mod table;
 
 pub use certify::{
-    certify_all, certify_one, worst_case_one, BoundCertificate, Certify, CertifyErrorKind,
-    CertifyRow, CertifySettings, DegradationVerdict, EvidenceTier, PaperBound, SearchStats,
+    certify_all, certify_one, worst_case_one, AdversaryJob, BoundCertificate, Certify,
+    CertifyErrorKind, CertifyRow, CertifySettings, DegradationVerdict, EvidenceTier, PaperBound,
+    SearchStats,
 };
 pub use experiment::{Cell, Measurement};
 pub use explore::{explore_one, explore_one_serial, Explore, ExploreJob, ExploreRow};
@@ -68,7 +69,7 @@ pub use generators::{
     clustered_config, from_gaps, periodic_config, quarter_ring_config, random_aperiodic_config,
     random_config, theorem5_config, uniform_config,
 };
-pub use grid::{Batch, BatchError, CellJob, Grid};
+pub use grid::{objective_units, Batch, BatchError, CellJob, Grid};
 pub use key::{InstanceKey, JobKind};
 // The paper-bound shapes and the offline oracle moved into
 // `ringdeploy-core` alongside the `ProblemFamily` trait that consumes

@@ -12,12 +12,16 @@
 //! # Per-job lifecycle
 //!
 //! `submit` → keys expanded ([`JobSpec::keys`](crate::JobSpec::keys))
-//! → admission check (`max_jobs`, [`Backpressure`] policy) → `accepted`
-//! → for each cell in order: cache probe (hit ⇒ row ready immediately)
-//! or dispatch to the bounded worker queue (full ⇒ the job *stalls* and
-//! retries after the next completion — the actor never blocks on
-//! dispatch) → rows emitted in **cell order** as the contiguous ready
-//! prefix grows → `done`.
+//! → admission check (`max_jobs`, [`Backpressure`] policy) → `accepted`,
+//! the keys split into units of keys that differ only in their
+//! objective ([`objective_units`]) → for each unit in order: a cache
+//! probe of every key (hit ⇒ row ready immediately), then one dispatch
+//! of the unit's misses, if any, to the bounded worker queue (full ⇒
+//! the job *stalls* and retries the unit after the next completion —
+//! the actor never blocks on dispatch) → rows emitted in **cell order**
+//! as the contiguous ready prefix grows → `done`. The cache, the
+//! completions and the wire stay per key: each computed key is cached
+//! under its own encoding and counts once in `cells_computed`.
 //!
 //! A failed cell emits `error` and cancels the job's remaining cells; a
 //! job overrunning its `timeout_ms` deadline emits `timeout` and is
@@ -44,6 +48,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use ringdeploy_analysis::key::InstanceKey;
+use ringdeploy_analysis::objective_units;
 use ringdeploy_json::Json;
 
 use crate::cache::ResultCache;
@@ -55,7 +60,9 @@ use crate::protocol::{write_frame, Backpressure, Request, Response, RowFrame, St
 pub struct DaemonConfig {
     /// Worker threads computing cells.
     pub workers: usize,
-    /// Bounded work-queue capacity (the backpressure bound).
+    /// Bounded work-queue capacity (the backpressure bound), in units: a
+    /// unit is one job's cache-missing keys that differ only in their
+    /// objective.
     pub queue_capacity: usize,
     /// Result-cache memory budget in bytes.
     pub cache_bytes: usize,
@@ -99,8 +106,9 @@ pub struct CellDone {
     pub cell: usize,
     /// The rendered report, or the failure message.
     pub result: Result<Json, String>,
-    /// The worker caught a panic computing this cell (`result` is the
-    /// substitute error). Counted in [`StatsReport::panics`].
+    /// The worker caught a panic computing this cell's unit (`result`
+    /// is the substitute error). Set on the unit's first cell only, so
+    /// [`StatsReport::panics`] counts each caught panic once.
     pub panicked: bool,
 }
 
@@ -164,7 +172,9 @@ struct Job {
     /// Canonical encodings of `keys` (computed once; the cache
     /// identity).
     canon: Vec<String>,
-    /// Cells up to (exclusive) this index are cache-probed/dispatched.
+    /// The cell indices of each unit of work ([`objective_units`]).
+    units: Vec<Vec<usize>>,
+    /// Units up to (exclusive) this index are cache-probed/dispatched.
     next_dispatch: usize,
     /// Rows up to (exclusive) this index are delivered.
     emitted: usize,
@@ -319,7 +329,6 @@ impl Daemon {
                 continue;
             };
             job.canceled = true;
-            job.next_dispatch = job.keys.len();
             self.timeouts += 1;
             let frame = Response::Timeout {
                 id: job.client_id,
@@ -503,6 +512,7 @@ impl Daemon {
         let internal = self.next_job;
         self.next_job += 1;
         let canon = keys.iter().map(InstanceKey::canonical).collect();
+        let units = objective_units(&keys);
         let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         self.send_to(
             conn,
@@ -518,6 +528,7 @@ impl Daemon {
                 conn,
                 keys,
                 canon,
+                units,
                 next_dispatch: 0,
                 emitted: 0,
                 in_flight: 0,
@@ -540,7 +551,6 @@ impl Daemon {
         for id in affected {
             if let Some(job) = self.jobs.get_mut(&id) {
                 job.canceled = true;
-                job.next_dispatch = job.keys.len();
             }
             self.queue_process(id);
         }
@@ -555,30 +565,43 @@ impl Daemon {
             return;
         };
 
-        // Phase 1: probe the cache / dispatch misses, in cell order.
-        while !job.canceled && job.next_dispatch < job.keys.len() {
-            let cell = job.next_dispatch;
-            if let Some(payload) = self.cache.get(&job.canon[cell]) {
-                job.ready.insert(cell, (true, Ok(payload)));
-                job.hits += 1;
-                job.next_dispatch += 1;
-                continue;
-            }
-            let item = WorkItem {
-                job: id,
-                cell,
-                key: job.keys[cell].clone(),
-            };
-            match self.pool.as_ref().expect("pool alive").try_dispatch(item) {
-                Ok(()) => {
-                    job.in_flight += 1;
-                    job.next_dispatch += 1;
+        // Phase 1: probe the cache and dispatch the misses, one unit at
+        // a time, in unit order.
+        while !job.canceled && job.next_dispatch < job.units.len() {
+            let mut misses = Vec::new();
+            for &cell in &job.units[job.next_dispatch] {
+                // A hit found before the unit stalled is ready or
+                // emitted already: it counts once.
+                if cell < job.emitted || job.ready.contains_key(&cell) {
+                    continue;
                 }
-                Err(_full) => {
+                match self.cache.get(&job.canon[cell]) {
+                    Some(payload) => {
+                        job.ready.insert(cell, (true, Ok(payload)));
+                        job.hits += 1;
+                    }
+                    None => misses.push((cell, job.keys[cell].clone())),
+                }
+            }
+            let count = misses.len();
+            if count > 0 {
+                let item = WorkItem {
+                    job: id,
+                    cells: misses,
+                };
+                if self
+                    .pool
+                    .as_ref()
+                    .expect("pool alive")
+                    .try_dispatch(item)
+                    .is_err()
+                {
                     self.stalled.insert(id);
                     break;
                 }
+                job.in_flight += count;
             }
+            job.next_dispatch += 1;
         }
 
         // Phase 2: emit the contiguous ready prefix, in order.
@@ -605,7 +628,6 @@ impl Daemon {
                     // but `self.jobs` no longer holds it. Re-check.
                     if self.conns.get(&job.conn).map(|c| c.open) != Some(true) {
                         job.canceled = true;
-                        job.next_dispatch = job.keys.len();
                     }
                 }
                 Err(message) => {
@@ -615,7 +637,6 @@ impl Daemon {
                     };
                     self.send_to(job.conn, &error);
                     job.canceled = true;
-                    job.next_dispatch = job.keys.len();
                 }
             }
         }

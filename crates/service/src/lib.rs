@@ -16,10 +16,11 @@
 //!   [`JobSpec`], [`RowFrame`]) and its pinned JSON encodings;
 //! * [`cache`] — the bounded-memory LRU result cache with hit / miss /
 //!   eviction counters;
-//! * [`engine`] — the pure compute kernel (key in, rendered report
-//!   out) that pins every free engine parameter for cache soundness;
-//! * [`pool`] — the `std::thread` worker pool behind a bounded queue
-//!   (the backpressure bound);
+//! * [`engine`] — the pure compute kernel (a unit of keys that differ
+//!   only in objective in, one rendered report per key out) that pins
+//!   every free engine parameter for cache soundness;
+//! * [`pool`] — the `std::thread` worker pool behind a bounded queue of
+//!   units (the backpressure bound);
 //! * [`daemon`] — the stewart-style actor loop owning all state;
 //! * [`server`] — TCP and stdio transports, sharing one bounded reader
 //!   that parses frames before they reach the actor;

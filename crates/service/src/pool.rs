@@ -1,12 +1,19 @@
 //! The shared worker pool: a bounded work queue multiplexing every
-//! job's cache-miss cells onto `std::thread` workers.
+//! job's cache misses onto `std::thread` workers.
+//!
+//! The unit of work is a [`WorkItem`]: the cache-missing keys of one
+//! unit of one job, i.e. keys that differ only in their objective
+//! ([`objective_units`](ringdeploy_analysis::objective_units)). A
+//! worker computes them with one [`engine::compute_unit`] call and
+//! posts one [`CellDone`] per key, in key order.
 //!
 //! The queue is a [`std::sync::mpsc::sync_channel`] with capacity
-//! [`DaemonConfig::queue_capacity`](crate::DaemonConfig): the actor
-//! dispatches with [`WorkerPool::try_dispatch`] and treats a full queue
-//! as backpressure (it simply stops dispatching until a completion
-//! event frees a slot — the actor thread never blocks). Workers catch
-//! panics, so one malformed cell cannot take a worker down.
+//! [`DaemonConfig::queue_capacity`](crate::DaemonConfig) units: the
+//! actor dispatches with [`WorkerPool::try_dispatch`] and treats a full
+//! queue as backpressure (it simply stops dispatching until a
+//! completion event frees a slot — the actor thread never blocks).
+//! Workers catch panics, so one malformed unit cannot take a worker
+//! down.
 
 use std::sync::mpsc::{Sender, SyncSender, TrySendError};
 use std::thread::JoinHandle;
@@ -17,12 +24,13 @@ use crate::daemon::{CellDone, Event};
 use crate::engine;
 
 /// Deliberate fault injection for the chaos CI drill: when
-/// `RINGDEPLOYD_CHAOS_PANIC` is set (non-empty), any cell whose key
-/// label contains the value panics mid-compute. The panic is caught by
-/// the worker like any other, counted in
+/// `RINGDEPLOYD_CHAOS_PANIC` is set (non-empty), any unit with a key
+/// whose label contains the value panics mid-compute. The panic is
+/// caught by the worker like any other, counted once in
 /// [`StatsReport::panics`](crate::protocol::StatsReport), and surfaced
-/// to the client as a normal cell error — the drill proves one
-/// poisoned cell cannot take a worker (or the daemon) down.
+/// to the client as a normal cell error on every key of the unit — the
+/// drill proves one poisoned unit cannot take a worker (or the daemon)
+/// down.
 fn chaos_panic_hook(key: &InstanceKey) {
     if let Ok(needle) = std::env::var("RINGDEPLOYD_CHAOS_PANIC") {
         if !needle.is_empty() && key.label().contains(&needle) {
@@ -31,15 +39,14 @@ fn chaos_panic_hook(key: &InstanceKey) {
     }
 }
 
-/// One unit of work: compute the report of `key` for cell `cell` of
+/// One unit of work: compute the reports of the keys of `cells` for
 /// job `job` (the daemon's internal job id).
 pub struct WorkItem {
     /// Internal job id.
     pub job: u64,
-    /// Cell index within the job.
-    pub cell: usize,
-    /// What to compute.
-    pub key: InstanceKey,
+    /// The unit's `(cell index, key)` pairs, in key order; the keys
+    /// differ only in their objective.
+    pub cells: Vec<(usize, InstanceKey)>,
 }
 
 /// The worker threads plus the bounded dispatch queue.
@@ -67,24 +74,30 @@ impl WorkerPool {
                             Ok(item) => item,
                             Err(_) => break, // queue closed: shutdown
                         };
+                        let keys: Vec<&InstanceKey> =
+                            item.cells.iter().map(|(_, key)| key).collect();
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                chaos_panic_hook(&item.key);
-                                engine::compute(&item.key)
+                                keys.iter().for_each(|key| chaos_panic_hook(key));
+                                engine::compute_unit(&keys)
                             }));
-                        let panicked = outcome.is_err();
-                        let result = outcome
-                            .unwrap_or_else(|_| Err("worker panicked computing cell".to_string()));
-                        if events
-                            .send(Event::CellDone(CellDone {
+                        let mut panicked = outcome.is_err();
+                        let results = outcome.unwrap_or_else(|_| {
+                            keys.iter()
+                                .map(|_| Err("worker panicked computing cell".to_string()))
+                                .collect()
+                        });
+                        for (&(cell, _), result) in item.cells.iter().zip(results) {
+                            let done = CellDone {
                                 job: item.job,
-                                cell: item.cell,
+                                cell,
                                 result,
-                                panicked,
-                            }))
-                            .is_err()
-                        {
-                            break; // actor gone: shutdown
+                                // One caught panic, counted once.
+                                panicked: std::mem::take(&mut panicked),
+                            };
+                            if events.send(Event::CellDone(done)).is_err() {
+                                return; // actor gone: shutdown
+                            }
                         }
                     })
                     .expect("spawn worker thread")
@@ -98,9 +111,6 @@ impl WorkerPool {
 
     /// Attempts to enqueue `item`; hands it back when the queue is full
     /// (the actor retries after the next completion event).
-    // The Err *is* the handed-back item by design; boxing it would cost
-    // an allocation per backpressure bounce on the actor's hot path.
-    #[allow(clippy::result_large_err)]
     pub fn try_dispatch(&self, item: WorkItem) -> Result<(), WorkItem> {
         let tx = self.tx.as_ref().expect("pool not shut down");
         match tx.try_send(item) {

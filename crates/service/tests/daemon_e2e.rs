@@ -1,7 +1,8 @@
 //! End-to-end daemon tests over real TCP connections: cache
-//! determinism, in-order streaming under a tiny queue, concurrent
-//! clients, admission backpressure, failure isolation, round-trip
-//! latency, stalled readers and graceful shutdown (the final
+//! determinism, in-order streaming under a tiny queue, units of keys
+//! that differ only in objective, concurrent clients, admission
+//! backpressure, failure isolation, round-trip latency, stalled readers
+//! and graceful shutdown (the final
 //! `handle.join()` in every test doubles as the no-thread-leak
 //! assertion — `Server::run` joins the pool, the accept thread and
 //! every reader before returning).
@@ -13,13 +14,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ringdeploy_analysis::key::JobKind;
-use ringdeploy_analysis::Workload;
+use ringdeploy_analysis::{worst_case_one, Adversary, Objective, Workload};
 use ringdeploy_core::Algorithm;
 use ringdeploy_json::ToJson;
 use ringdeploy_service::{
     parse_response, Backpressure, Client, DaemonConfig, JobSpec, Request, Response, RowFrame,
     Server, StatsReport, MAX_FRAME_BYTES,
 };
+use ringdeploy_sim::explore::{ExploreLimits, SymmetryMode};
 
 fn start(config: DaemonConfig) -> (String, JoinHandle<StatsReport>) {
     let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
@@ -45,6 +47,30 @@ fn sweep_job(seeds: &[u64]) -> JobSpec {
             Algorithm::FullKnowledge,
             Workload::Random { n: 16, k: 4 },
         )
+    }
+}
+
+/// An adversary job for algo1 on `Random{8,3}`; no `objectives` means
+/// all three.
+fn adversary_job(seeds: &[u64], objectives: &[Objective]) -> JobSpec {
+    JobSpec {
+        seeds: seeds.to_vec(),
+        objectives: objectives.to_vec(),
+        ..JobSpec::new(
+            JobKind::Adversary,
+            Algorithm::FullKnowledge,
+            Workload::Random { n: 8, k: 3 },
+        )
+    }
+}
+
+/// The job's `(rows, cache_hits)` from its `done` frame.
+fn done_counts(frames: &[Response]) -> (usize, usize) {
+    match frames.last() {
+        Some(Response::Done {
+            rows, cache_hits, ..
+        }) => (*rows, *cache_hits),
+        other => panic!("expected done, got {other:?}"),
     }
 }
 
@@ -186,6 +212,151 @@ fn rows_arrive_in_cell_order_under_a_one_slot_queue() {
         assert_eq!(row.seq, expect, "in-order delivery");
         assert_eq!(row.id, 7);
     }
+    shutdown(&mut client);
+    handle.join().expect("server thread");
+}
+
+/// An all-objective adversary job is one unit: one walk answers its
+/// three keys. Each row is still the per-objective worst case of its
+/// own key, every key counts in `cells_computed`, and a repeat is
+/// served from the cache byte for byte.
+#[test]
+fn an_all_objective_adversary_job_streams_one_row_per_objective() {
+    let (addr, handle) = start(small_config());
+    let mut client = Client::connect(&addr).expect("connect");
+
+    submit(
+        &mut client,
+        1,
+        Backpressure::Block,
+        adversary_job(&[3], &[]),
+    );
+    let cold = collect_job(&mut client, 1);
+    let cold_rows = rows(&cold);
+    assert_eq!(cold_rows.len(), 3);
+    for ((seq, row), objective) in cold_rows.iter().enumerate().zip(Objective::ALL) {
+        assert_eq!((row.seq, row.cached), (seq, false));
+        assert_eq!(row.key.objective, Some(objective));
+        let init = row.key.instantiate();
+        let adversary = Adversary::new()
+            .limits(ExploreLimits::for_instance(
+                init.ring_size(),
+                init.agent_count(),
+            ))
+            .symmetry(SymmetryMode::Rotation);
+        let worst = worst_case_one(Algorithm::FullKnowledge, &init, &adversary, objective)
+            .expect("the instance searches");
+        assert_eq!(
+            row.payload.to_string(),
+            worst.to_json().to_string(),
+            "{}",
+            row.key.label()
+        );
+    }
+    assert_eq!(done_counts(&cold), (3, 0));
+    assert_eq!(stats(&mut client).cells_computed, 3);
+
+    submit(
+        &mut client,
+        2,
+        Backpressure::Block,
+        adversary_job(&[3], &[]),
+    );
+    let warm = collect_job(&mut client, 2);
+    let warm_rows = rows(&warm);
+    assert_eq!(done_counts(&warm), (3, 3));
+    assert!(warm_rows.iter().all(|r| r.cached), "fully cached repeat");
+    for (cold_row, warm_row) in cold_rows.iter().zip(&warm_rows) {
+        assert_eq!(cold_row.payload.to_string(), warm_row.payload.to_string());
+    }
+    assert_eq!(stats(&mut client).cells_computed, 3);
+
+    shutdown(&mut client);
+    handle.join().expect("server thread");
+}
+
+/// A unit with a cached key computes only its other keys: after a
+/// moves-only job, the all-objective job of the same instance serves
+/// row 0 from the cache and computes rows 1 and 2.
+#[test]
+fn a_partly_cached_unit_computes_only_its_misses() {
+    let (addr, handle) = start(small_config());
+    let mut client = Client::connect(&addr).expect("connect");
+
+    submit(
+        &mut client,
+        1,
+        Backpressure::Block,
+        adversary_job(&[4], &[Objective::TotalMoves]),
+    );
+    let first = collect_job(&mut client, 1);
+    assert_eq!(done_counts(&first), (1, 0));
+    let before = stats(&mut client).cells_computed;
+
+    submit(
+        &mut client,
+        2,
+        Backpressure::Block,
+        adversary_job(&[4], &[]),
+    );
+    let frames = collect_job(&mut client, 2);
+    assert_eq!(done_counts(&frames), (3, 1));
+    let cached: Vec<bool> = rows(&frames).iter().map(|r| r.cached).collect();
+    assert_eq!(cached, [true, false, false]);
+    assert_eq!(
+        rows(&frames)[0].payload.to_string(),
+        rows(&first)[0].payload.to_string()
+    );
+    assert_eq!(stats(&mut client).cells_computed, before + 2);
+
+    shutdown(&mut client);
+    handle.join().expect("server thread");
+}
+
+/// A unit that meets a full queue stalls its job and is probed again on
+/// retry; a cache hit found before the stall counts once. The job's
+/// units are keys {0, 2, 4} (seed 5) and {1, 3, 5} (seed 6), and key 1
+/// is cached first. A job submitted just before keeps the one worker
+/// busy, so unit {0, 2, 4} normally waits in the one-slot queue and
+/// unit {1, 3, 5} stalls after probing key 1; the assertions hold
+/// however the units interleave.
+#[test]
+fn a_stalled_unit_counts_its_cache_hits_once() {
+    let (addr, handle) = start(DaemonConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..small_config()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    submit(
+        &mut client,
+        1,
+        Backpressure::Block,
+        adversary_job(&[6], &[Objective::TotalMoves]),
+    );
+    assert_eq!(done_counts(&collect_job(&mut client, 1)), (1, 0));
+
+    submit(
+        &mut client,
+        2,
+        Backpressure::Block,
+        adversary_job(&[7], &[]),
+    );
+    submit(
+        &mut client,
+        3,
+        Backpressure::Block,
+        adversary_job(&[5, 6], &[]),
+    );
+    let mut frames = collect_job(&mut client, 2);
+    frames.extend(collect_job(&mut client, 3));
+    let job_rows: Vec<_> = rows(&frames).into_iter().filter(|r| r.id == 3).collect();
+    let seqs: Vec<usize> = job_rows.iter().map(|r| r.seq).collect();
+    assert_eq!(seqs, [0, 1, 2, 3, 4, 5]);
+    let cached: Vec<bool> = job_rows.iter().map(|r| r.cached).collect();
+    assert_eq!(cached, [false, true, false, false, false, false]);
+    assert_eq!(done_counts(&frames), (6, 1));
+
     shutdown(&mut client);
     handle.join().expect("server thread");
 }

@@ -41,7 +41,9 @@
 //!   many one-edge outages under 1-interval connectivity); composes with
 //!   every mode including `--explore`/`--adversary`/`--certify`
 //! * `--render`               print before/after ASCII ring renders
-//! * `--json`                 print the full report as JSON instead of text
+//! * `--json`                 print the full report as JSON instead of text:
+//!   stdout holds that one JSON document and nothing else (the `faults:`
+//!   and `ring n = …` header lines go to stderr); not with `--render`
 //!
 //! Daemon modes (see `DESIGN.md` §0.7 — the `ringdeployd` service):
 //!
@@ -194,6 +196,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         return Err(format!("one of --homes / --k is required\n{}", usage()));
     }
     opts.algo = with_group_size(opts.algo, opts.g, usage())?;
+    if opts.json && opts.render {
+        return Err(format!(
+            "--render draws text; it cannot share stdout with --json\n{}",
+            usage()
+        ));
+    }
     if opts.tier_set && !opts.certify {
         return Err(format!("--tier requires --certify\n{}", usage()));
     }
@@ -327,16 +335,24 @@ fn run(opts: &Options) -> Result<(), String> {
         ));
     }
     let init = init.with_faults(opts.faults.clone());
+    // Under --json, stdout carries the one JSON document only.
+    let header = |line: String| {
+        if opts.json {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    };
     if !opts.faults.is_empty() {
-        println!("faults: {}", opts.faults);
+        header(format!("faults: {}", opts.faults));
     }
-    println!(
+    header(format!(
         "ring n = {}, k = {}, homes = {:?} (symmetry degree l = {})",
         init.ring_size(),
         init.agent_count(),
         init.homes(),
         init.symmetry_degree()
-    );
+    ));
     if opts.render {
         let before: Ring<FullKnowledge> =
             Ring::new(&init, |_| FullKnowledge::new(init.agent_count()));

@@ -14,8 +14,9 @@ use ringdeploy::sim::scheduler::Replay;
 use ringdeploy::sim::{Ring, RunLimits};
 use ringdeploy::{Algorithm, BoundCertificate, DeployReport, FullKnowledge, InitialConfig};
 
-/// Runs the CLI binary and returns the parsed JSON report line (the
-/// human "ring n = …" banner precedes it).
+/// Runs the CLI binary and returns its stdout parsed as one JSON
+/// document: under `--json` stdout holds nothing else (the human
+/// "ring n = …" header goes to stderr).
 fn run_cli(args: &[&str], expect_success: bool) -> Json {
     let output = Command::new(env!("CARGO_BIN_EXE_ringdeploy"))
         .args(args)
@@ -29,11 +30,8 @@ fn run_cli(args: &[&str], expect_success: bool) -> Json {
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8(output.stdout).expect("utf-8 stdout");
-    let json_line = stdout
-        .lines()
-        .find(|line| line.starts_with('{'))
-        .unwrap_or_else(|| panic!("no JSON line in output:\n{stdout}"));
-    Json::parse(json_line).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json_line}"))
+    Json::parse(&stdout)
+        .unwrap_or_else(|e| panic!("stdout is not one JSON document: {e}\n{stdout}"))
 }
 
 /// The exact key set of a JSON object — the schema pin.
@@ -285,4 +283,42 @@ fn certify_succeeds_with_all_holds_flags_true_on_a_real_instance() {
     for cert_json in field(&json, "certificates").as_array().expect("array") {
         assert_eq!(field(cert_json, "holds"), &Json::Bool(true));
     }
+}
+
+/// Headers never reach stdout under `--json`: a faulted run prints a
+/// `faults:` line before the ring header, and both go to stderr. A
+/// random placement (`--k`) is covered too. `--render` draws text, so
+/// asking for it with `--json` is a usage error (exit 2).
+#[test]
+fn json_stdout_is_one_document_under_faults_and_render_is_refused() {
+    let json = run_cli(
+        &[
+            "--n",
+            "8",
+            "--homes",
+            "0,1,4",
+            "--faults",
+            "crash=1@2",
+            "--json",
+        ],
+        true,
+    );
+    DeployReport::from_json(&json).expect("deploy report");
+    let output = Command::new(env!("CARGO_BIN_EXE_ringdeploy"))
+        .args(["--n", "12", "--k", "3", "--faults", "crash=1@2", "--json"])
+        .output()
+        .expect("spawn ringdeploy");
+    let stderr = String::from_utf8(output.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.starts_with("faults: crash=1@2\nring n = 12, k = 3"),
+        "{stderr}"
+    );
+    Json::parse(std::str::from_utf8(&output.stdout).expect("utf-8 stdout")).expect("one document");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_ringdeploy"))
+        .args(["--n", "12", "--k", "3", "--render", "--json"])
+        .output()
+        .expect("spawn ringdeploy");
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty());
 }
