@@ -457,7 +457,10 @@ where
             let patch = cache.patch(cur, &undo);
             let fp = cache.fingerprint(cur);
             let gain = worst.gain(cur, act, &undo)[slot];
-            let rem = <[u64; 3]>::unpack(visited[&fp], escapes)[slot];
+            let word = visited
+                .get(fp)
+                .expect("a walked state's children are visited");
+            let rem = <[u64; 3]>::unpack(word, escapes)[slot];
             if objective.combine(gain, rem) == need {
                 witness.push(act);
                 path.push((undo, patch));

@@ -74,8 +74,16 @@
 //! the top bit. [`u64::MAX`] stays the on-path mark: a packed triple
 //! never sets the top bit, and an escape index never fills the other 63.
 //!
+//! The map is split into 64 fixed shards by fingerprint bits 32–37, so
+//! it grows one shard at a time. A hash table doubles by allocating the
+//! new table while the old one is still live; one unsharded map's last
+//! doubling therefore set a million-state walk's peak memory, well above
+//! the map it settled at. The shards are single-threaded and unlocked:
+//! they exist only so that growth is incremental.
+//!
 //! [`canonical_fingerprint`]: crate::canonical::canonical_fingerprint
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -108,6 +116,65 @@ impl std::hash::Hasher for FpHasher {
 }
 
 pub(crate) type FpBuildHasher = std::hash::BuildHasherDefault<FpHasher>;
+
+/// Number of [`Visited`] shards: a fixed constant, not a knob.
+const SHARDS: usize = 64;
+
+/// The lowest fingerprint bit of a [`Visited`] shard index.
+const SHARD_SHIFT: u32 = 32;
+
+/// The walker's visited map: fingerprint → value word ([`ON_PATH`] or a
+/// packed [`Remaining`] word), split into [`SHARDS`] fixed shards.
+///
+/// The shards exist only so that the map grows one shard at a time. A
+/// hash table doubles by allocating its new table while the old one is
+/// still live, so one map's last doubling holds both tables at once: for
+/// a million-state walk that transient, not the settled map, set the
+/// peak. A shard's doubling reallocates 1/64 of the table. The map is
+/// single-threaded and has no lock; its shards have nothing to do with
+/// concurrency.
+///
+/// A fingerprint's shard is its bits 32–37. std's table takes bucket
+/// positions from the low bits of the pass-through ([`FpHasher`]) hash
+/// and its 7-bit tags from the top bits, so both stay intact: sharding on
+/// the top bits would make the keys of a shard share most of their tag
+/// bits and defeat the tag filter.
+pub(crate) struct Visited {
+    shards: [HashMap<u64, u64, FpBuildHasher>; SHARDS],
+}
+
+impl Visited {
+    fn new() -> Self {
+        Visited {
+            shards: std::array::from_fn(|_| HashMap::default()),
+        }
+    }
+
+    fn shard(fp: u64) -> usize {
+        (fp >> SHARD_SHIFT) as usize & (SHARDS - 1)
+    }
+
+    /// The probe that both finds and inserts `fp`.
+    pub(crate) fn entry(&mut self, fp: u64) -> Entry<'_, u64, u64> {
+        self.shards[Self::shard(fp)].entry(fp)
+    }
+
+    /// The word stored for `fp`, if it is visited.
+    pub(crate) fn get(&self, fp: u64) -> Option<u64> {
+        self.shards[Self::shard(fp)].get(&fp).copied()
+    }
+
+    /// Overwrites the word of the visited state `fp` once it is finished.
+    ///
+    /// # Panics
+    ///
+    /// If `fp` is not visited.
+    pub(crate) fn finish(&mut self, fp: u64, word: u64) {
+        *self.shards[Self::shard(fp)]
+            .get_mut(&fp)
+            .expect("a finished state was visited") = word;
+    }
+}
 
 /// Limits for an exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -538,18 +605,19 @@ pub(crate) struct WalkStats {
 /// It walks one live ring with [`Ring::apply`]/[`Ring::undo`], keeps the
 /// enabled activations of every state on the path in one arena, patches
 /// the fingerprint cache alongside each step, and expands every distinct
-/// state once. Its one visited map stores, per fingerprint, [`ON_PATH`]
-/// while the state is on the DFS path and its packed remaining values
-/// `V` once it is finished: the [`Search::fold`] of every child, so
-/// nothing at all for a search with no objective. Re-entering a path
-/// state is a cycle; re-entering a finished one folds its remaining
-/// values in without walking it again.
+/// state once. Its one visited map ([`Visited`], sharded so that it grows
+/// a shard at a time) stores, per fingerprint, [`ON_PATH`] while the
+/// state is on the DFS path and its packed remaining values `V` once it
+/// is finished: the [`Search::fold`] of every child, so nothing at all
+/// for a search with no objective. Re-entering a path state is a cycle;
+/// re-entering a finished one folds its remaining values in without
+/// walking it again.
 pub(crate) struct Walker<B: Behavior, V> {
     /// The live ring, at the root before a walk and after one that
     /// completes.
     pub(crate) ring: Ring<B>,
     pub(crate) cache: FingerprintCache,
-    pub(crate) visited: HashMap<u64, u64, FpBuildHasher>,
+    pub(crate) visited: Visited,
     /// Remaining values too wide for a packed word ([`Remaining::pack`]).
     pub(crate) escapes: Vec<V>,
     pub(crate) stats: WalkStats,
@@ -566,7 +634,7 @@ where
         Walker {
             cache: FingerprintCache::new(symmetry, &ring),
             ring,
-            visited: HashMap::default(),
+            visited: Visited::new(),
             escapes: Vec::new(),
             stats: WalkStats {
                 states: 1,
@@ -600,13 +668,13 @@ where
         }
         if self.ring.enabled_activations().is_empty() {
             stats.terminal_hits = 1;
-            self.visited.insert(root_fp, 0);
+            self.visited.entry(root_fp).or_insert(0);
             if !search.accept(&self.ring, root_fp) {
                 return Err(ExploreErrorKind::PredicateViolated { depth: 0 });
             }
             return Ok(V::default());
         }
-        self.visited.insert(root_fp, ON_PATH);
+        self.visited.entry(root_fp).or_insert(ON_PATH);
 
         /// One state on the DFS path: its fingerprint, the gains of the
         /// step that entered it, the best values over its children so
@@ -638,10 +706,8 @@ where
                 // Every child is done: this state's remaining values are
                 // final. Record them and fold them into the parent.
                 let frame = stack.pop().expect("stack is non-empty");
-                *self
-                    .visited
-                    .get_mut(&frame.fp)
-                    .expect("path state is visited") = frame.best.pack(&mut self.escapes);
+                self.visited
+                    .finish(frame.fp, frame.best.pack(&mut self.escapes));
                 arena.truncate(frame.acts_start);
                 let Some((undo, patch)) = frame.undo else {
                     return Ok(frame.best);
@@ -669,7 +735,7 @@ where
             let gain = search.gain(&self.ring, act, &undo);
             let terminal = self.ring.enabled_activations().is_empty();
             let done = match self.visited.entry(fp) {
-                std::collections::hash_map::Entry::Occupied(seen) => {
+                Entry::Occupied(seen) => {
                     // Re-entering a path state closes a concrete cycle
                     // (under Rotation a quotient cycle, which lifts to a
                     // concrete one: see crate::canonical).
@@ -680,7 +746,7 @@ where
                     stats.terminal_hits += u64::from(terminal);
                     Some(V::unpack(*seen.get(), &self.escapes))
                 }
-                std::collections::hash_map::Entry::Vacant(slot) => {
+                Entry::Vacant(slot) => {
                     // A terminal's remaining values are the default,
                     // which packs to 0.
                     slot.insert(if terminal { 0 } else { ON_PATH });
@@ -1056,6 +1122,68 @@ mod tests {
             <[u64; 3]>::unpack(widest.pack(&mut escapes), &escapes),
             widest
         );
+    }
+
+    /// Enters the new state `fp` into `visited` with `word`.
+    fn visit(visited: &mut Visited, fp: u64, word: u64) {
+        match visited.entry(fp) {
+            Entry::Vacant(slot) => {
+                slot.insert(word);
+            }
+            Entry::Occupied(_) => panic!("{fp:#x} entered twice"),
+        }
+    }
+
+    #[test]
+    fn visited_keys_differing_in_one_bit_group_keep_their_own_words() {
+        let base = 0x0123_4567_89ab_cdef_u64;
+        // 64 keys each that differ only in the shard bits (32–37), only in
+        // bucket bits (the low ones) or only in tag bits (the top seven).
+        for shift in [SHARD_SHIFT, 0, 57] {
+            let keys: Vec<u64> = (0..64)
+                .map(|v| base & !(63 << shift) | v << shift)
+                .collect();
+            let mut visited = Visited::new();
+            for (word, &fp) in keys.iter().enumerate() {
+                visit(&mut visited, fp, word as u64);
+            }
+            for (word, &fp) in keys.iter().enumerate() {
+                assert_eq!(visited.get(fp), Some(word as u64), "{fp:#x}");
+            }
+            let used = visited.shards.iter().filter(|s| !s.is_empty()).count();
+            assert_eq!(used, if shift == SHARD_SHIFT { 64 } else { 1 });
+        }
+    }
+
+    #[test]
+    fn visited_finds_every_key_of_one_crowded_shard() {
+        let keys: Vec<u64> = (0..10_000u64)
+            .map(|i| i << 38 | 17 << SHARD_SHIFT | u64::from((i as u32).wrapping_mul(0x9E37_79B9)))
+            .collect();
+        let mut visited = Visited::new();
+        for &fp in &keys {
+            visit(&mut visited, fp, fp >> 38);
+        }
+        assert_eq!(visited.shards[17].len(), 10_000, "one shard holds them all");
+        for &fp in &keys {
+            assert_eq!(visited.get(fp), Some(fp >> 38), "{fp:#x}");
+        }
+    }
+
+    #[test]
+    fn visited_extreme_fingerprints_are_keys_and_finished_words_are_seen() {
+        let mut visited = Visited::new();
+        visit(&mut visited, 0, ON_PATH);
+        visit(&mut visited, u64::MAX, ON_PATH);
+        assert_eq!(visited.get(0), Some(ON_PATH));
+        assert_eq!(visited.get(u64::MAX), Some(ON_PATH));
+        assert_eq!(visited.get(1), None);
+        let word = [5, 6, 7].pack(&mut Vec::new());
+        visited.finish(0, word);
+        visited.finish(u64::MAX, 0);
+        assert_eq!(visited.get(0), Some(word));
+        assert_eq!(visited.get(u64::MAX), Some(0));
+        assert!(matches!(visited.entry(0), Entry::Occupied(e) if *e.get() == word));
     }
 
     #[test]

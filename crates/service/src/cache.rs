@@ -74,22 +74,23 @@ impl ResultCache {
     }
 
     /// Looks up `canonical_key`, counting a hit (and refreshing
-    /// recency) or a miss.
+    /// recency). A miss is not counted here, because a caller may probe
+    /// a key again before it computes it: it counts the keys it sends
+    /// to be computed with [`count_misses`](ResultCache::count_misses).
     pub fn get(&mut self, canonical_key: &str) -> Option<Json> {
         let stamp = self.tick();
-        match self.map.get_mut(canonical_key) {
-            Some(entry) => {
-                self.lru.remove(&entry.stamp);
-                entry.stamp = stamp;
-                self.lru.insert(stamp, canonical_key.to_string());
-                self.hits += 1;
-                Some(entry.payload.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let entry = self.map.get_mut(canonical_key)?;
+        self.lru.remove(&entry.stamp);
+        entry.stamp = stamp;
+        self.lru.insert(stamp, canonical_key.to_string());
+        self.hits += 1;
+        Some(entry.payload.clone())
+    }
+
+    /// Counts `keys` looked-up keys that missed and were sent to be
+    /// computed.
+    pub fn count_misses(&mut self, keys: usize) {
+        self.misses += keys as u64;
     }
 
     /// Stores `payload` under `canonical_key`, then evicts
@@ -158,6 +159,9 @@ mod tests {
     fn hits_are_counted_and_byte_identical() {
         let mut cache = ResultCache::new(1 << 20);
         assert!(cache.get("k1").is_none());
+        assert!(cache.get("k1").is_none());
+        assert_eq!(cache.stats().misses, 0, "a probe alone counts no miss");
+        cache.count_misses(1);
         cache.insert("k1".to_string(), payload("a", 10));
         let first = cache.get("k1").expect("resident");
         let second = cache.get("k1").expect("still resident");

@@ -21,7 +21,9 @@
 //! the actor never blocks on dispatch) → rows emitted in **cell order**
 //! as the contiguous ready prefix grows → `done`. The cache, the
 //! completions and the wire stay per key: each computed key is cached
-//! under its own encoding and counts once in `cells_computed`.
+//! under its own encoding and counts once in `cells_computed`. Each key
+//! a job looks up counts once in the cache stats too: as a hit when it
+//! is served from the cache, as a miss when it is sent to a worker.
 //!
 //! A failed cell emits `error` and cancels the job's remaining cells; a
 //! job overrunning its `timeout_ms` deadline emits `timeout` and is
@@ -599,6 +601,9 @@ impl Daemon {
                     self.stalled.insert(id);
                     break;
                 }
+                // A miss counts when its key is sent, not when it is
+                // probed: a stalled unit probes its misses again.
+                self.cache.count_misses(count);
                 job.in_flight += count;
             }
             job.next_dispatch += 1;

@@ -228,9 +228,10 @@ pub struct RowFrame {
 /// Cache counters of a [`StatsReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Keys answered from the cache.
     pub hits: u64,
-    /// Lookups that had to compute.
+    /// Keys looked up, not found and sent to be computed; a key probed
+    /// again while its job waits for a worker counts once.
     pub misses: u64,
     /// Entries dropped by the LRU bound.
     pub evictions: u64,

@@ -314,7 +314,8 @@ fn a_partly_cached_unit_computes_only_its_misses() {
 }
 
 /// A unit that meets a full queue stalls its job and is probed again on
-/// retry; a cache hit found before the stall counts once. The job's
+/// retry; a cache hit found before the stall counts once, and so does
+/// each miss. The job's
 /// units are keys {0, 2, 4} (seed 5) and {1, 3, 5} (seed 6), and key 1
 /// is cached first. A job submitted just before keeps the one worker
 /// busy, so unit {0, 2, 4} normally waits in the one-slot queue and
@@ -356,6 +357,11 @@ fn a_stalled_unit_counts_its_cache_hits_once() {
     let cached: Vec<bool> = job_rows.iter().map(|r| r.cached).collect();
     assert_eq!(cached, [false, true, false, false, false, false]);
     assert_eq!(done_counts(&frames), (6, 1));
+    // Each key looked up counts once, however often a stalled unit
+    // re-probed it: 1 + 3 + 5 keys computed, key 1 of job 3 served.
+    let stats = stats(&mut client);
+    assert_eq!(stats.cells_computed, 9);
+    assert_eq!((stats.cache.hits, stats.cache.misses), (1, 9));
 
     shutdown(&mut client);
     handle.join().expect("server thread");
