@@ -35,20 +35,20 @@
 //!   the aperiodic (`l = 1`) rows no symmetry fold can apply at all, so
 //!   the two counts are equal (see DESIGN.md §0.11).
 //!
-//! Besides the table on stdout it writes `BENCH_adversary.json` at the
-//! workspace root (published as a CI artifact), including per-instance
-//! `states_per_sec` (pruned expansions / second), the pruning ratio,
-//! the competitive ratio of the worst case versus the offline oracle,
-//! and an `already_uniform` label: on rows where the initial placement
-//! is already uniform (`l = k`), `oracle_moves: 0` is the *correct*
-//! offline optimum — the null competitive ratio means the denominator
-//! is legitimately zero, not that data is missing.
+//! It writes `BENCH_adversary.json` at the workspace root through
+//! `ringdeploy_bench::publish`, which fails the bench if a worst value,
+//! witness length, oracle optimum, state or expansion count, or the
+//! `already_uniform` label differs from the committed file. On rows
+//! where the initial placement is already uniform (`l = k`),
+//! `oracle_moves: 0` is the *correct* offline optimum, and
+//! `already_uniform: true` says so.
 //!
 //! Run with `cargo bench -p ringdeploy-bench --bench adversary_scale`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ringdeploy_analysis::{oracle_moves, worst_case_one, Adversary, Objective};
+use ringdeploy_bench::{best_of, ms, publish, Row};
 use ringdeploy_core::Algorithm;
 use ringdeploy_sim::explore::{ExploreLimits, SymmetryMode};
 use ringdeploy_sim::InitialConfig;
@@ -79,32 +79,31 @@ impl Sample {
         self.unpruned_expansions as f64 / self.pruned_expansions as f64
     }
 
-    fn states_per_sec(&self) -> f64 {
-        self.pruned_expansions as f64 / self.pruned.as_secs_f64()
-    }
-
-    fn competitive_ratio(&self) -> Option<f64> {
-        (self.oracle > 0).then(|| self.value as f64 / self.oracle as f64)
-    }
-
     /// `l = k`: the homes are invariant under rotation by `n/k`, i.e.
     /// equally spaced — the instance starts out uniformly deployed and
     /// the offline optimum is genuinely zero.
     fn already_uniform(&self) -> bool {
         self.symmetry_degree == self.k
     }
-}
 
-fn best_of<T>(repeats: usize, mut run: impl FnMut() -> T) -> (T, Duration) {
-    let mut best = Duration::MAX;
-    let mut last = None;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let result = run();
-        best = best.min(start.elapsed());
-        last = Some(result);
+    fn row(&self) -> Row {
+        Row::new()
+            .key("algo", self.algo)
+            .key("n", self.n)
+            .key("k", self.k)
+            .key("symmetry_degree", self.symmetry_degree)
+            .checked("worst_moves", self.value)
+            .checked("witness_len", self.witness_len)
+            .checked("oracle_moves", self.oracle)
+            .checked("already_uniform", self.already_uniform())
+            .checked("distinct_states", self.distinct_states)
+            .checked("pruned_expansions", self.pruned_expansions)
+            .checked("unpruned_expansions", self.unpruned_expansions)
+            .timing("pruned_ms", ms(self.pruned))
+            .timing("unpruned_ms", ms(self.unpruned))
+            .timing("three_walks_ms", ms(self.three_walks))
+            .timing("all_objectives_ms", ms(self.all_objectives))
     }
-    (last.expect("at least one repeat"), best)
 }
 
 fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> Sample {
@@ -164,106 +163,25 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
 
 fn main() {
     let repeats = 3;
-    let samples = vec![
+    let samples = [
         // Symmetric instances (l = k = 4): the quotient's best case — and
         // the gated tier. These start out *already uniform*, so their
-        // oracle optimum is genuinely 0 and the competitive ratio has no
-        // denominator (labeled `already_uniform` in the JSON).
+        // oracle optimum is genuinely 0 (labeled `already_uniform` in the
+        // JSON).
         measure(Algorithm::FullKnowledge, 12, &[0, 3, 6, 9], repeats),
         measure(Algorithm::LogSpace, 12, &[0, 3, 6, 9], repeats),
         measure(Algorithm::Relaxed, 12, &[0, 3, 6, 9], repeats),
         measure(Algorithm::FullKnowledge, 16, &[0, 4, 8, 12], repeats),
         // Periodic but clustered (l = 2 < k): a symmetric instance with a
-        // nonzero offline optimum, so the symmetric tier also reports a
-        // real competitive ratio.
+        // nonzero offline optimum.
         measure(Algorithm::FullKnowledge, 8, &[0, 1, 4, 5], repeats),
         // Aperiodic clustered worst case (l = 1): no rotation to exploit.
         measure(Algorithm::FullKnowledge, 12, &[0, 1, 2, 3], repeats),
         measure(Algorithm::Relaxed, 12, &[0, 1, 2, 3], repeats),
     ];
 
-    println!(
-        "{:>8} {:>4} {:>3} {:>3} {:>7} {:>8} {:>9} {:>9} {:>9} {:>9} {:>7} {:>10} {:>9} {:>9}",
-        "algo",
-        "n",
-        "k",
-        "l",
-        "worst",
-        "witness",
-        "pruned",
-        "unpruned",
-        "prune_ms",
-        "full_ms",
-        "ratio",
-        "kstates/s",
-        "3walk_ms",
-        "all_ms"
-    );
-    for s in &samples {
-        println!(
-            "{:>8} {:>4} {:>3} {:>3} {:>7} {:>8} {:>9} {:>9} {:>9.2} {:>9.2} {:>6.2}x {:>10.1} \
-             {:>9.2} {:>9.2}",
-            s.algo,
-            s.n,
-            s.k,
-            s.symmetry_degree,
-            s.value,
-            s.witness_len,
-            s.pruned_expansions,
-            s.unpruned_expansions,
-            s.pruned.as_secs_f64() * 1e3,
-            s.unpruned.as_secs_f64() * 1e3,
-            s.pruning_ratio(),
-            s.states_per_sec() / 1e3,
-            s.three_walks.as_secs_f64() * 1e3,
-            s.all_objectives.as_secs_f64() * 1e3,
-        );
-    }
-
-    let rows: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            let competitive = s
-                .competitive_ratio()
-                .map(|r| format!("{r:.2}"))
-                .unwrap_or_else(|| "null".to_string());
-            format!(
-                "    {{\"algo\": \"{}\", \"n\": {}, \"k\": {}, \"symmetry_degree\": {}, \
-                 \"worst_moves\": {}, \"witness_len\": {}, \"oracle_moves\": {}, \
-                 \"already_uniform\": {}, \"competitive_ratio\": {competitive}, \
-                 \"distinct_states\": {}, \"pruned_expansions\": {}, \
-                 \"unpruned_expansions\": {}, \
-                 \"pruning_ratio\": {:.2}, \"pruned_ms\": {:.3}, \"unpruned_ms\": {:.3}, \
-                 \"states_per_sec\": {:.0}, \"three_walks_ms\": {:.3}, \
-                 \"all_objectives_ms\": {:.3}}}",
-                s.algo,
-                s.n,
-                s.k,
-                s.symmetry_degree,
-                s.value,
-                s.witness_len,
-                s.oracle,
-                s.already_uniform(),
-                s.distinct_states,
-                s.pruned_expansions,
-                s.unpruned_expansions,
-                s.pruning_ratio(),
-                s.pruned.as_secs_f64() * 1e3,
-                s.unpruned.as_secs_f64() * 1e3,
-                s.states_per_sec(),
-                s.three_walks.as_secs_f64() * 1e3,
-                s.all_objectives.as_secs_f64() * 1e3,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"adversary_scale\",\n  \"objective\": \"total-moves\",\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_adversary.json");
-    std::fs::write(path, &json).expect("write BENCH_adversary.json");
-    println!("\nwrote {path}");
+    let rows: Vec<Row> = samples.iter().map(Sample::row).collect();
+    publish("adversary_scale", "BENCH_adversary.json", &rows);
 
     // Linear work: the exact remaining-value memo solves each distinct
     // state once, so expansions can never exceed the reachable state
@@ -296,8 +214,7 @@ fn main() {
 
     // Label honesty: `already_uniform` (l = k, equally spaced homes) must
     // coincide exactly with a zero offline optimum — the field exists so
-    // `oracle_moves: 0` / `competitive_ratio: null` reads as "nothing to
-    // do", never as missing data.
+    // `oracle_moves: 0` reads as "nothing to do", never as missing data.
     for s in &samples {
         assert_eq!(
             s.already_uniform(),

@@ -12,12 +12,18 @@
 //!   (The rescan loop still pays the incremental upkeep inside `step()`,
 //!   so the reported speedup is a conservative lower bound.)
 //!
-//! Run with `cargo bench -p ringdeploy-bench --bench engine_step`; besides
-//! the table on stdout it writes the results to `BENCH_engine.json` at the
-//! workspace root (published as a CI artifact).
+//! Each row keeps the best of three interleaved repeats per driver, and
+//! every repeat's incremental time (`incremental_ns_per_step_runs`), so a
+//! gate miss can be told from one noisy repeat without a rerun.
+//!
+//! Run with `cargo bench -p ringdeploy-bench --bench engine_step`; it
+//! writes `BENCH_engine.json` at the workspace root through
+//! `ringdeploy_bench::publish`, which fails the bench if a step count
+//! differs from the committed file.
 
 use std::time::{Duration, Instant};
 
+use ringdeploy_bench::{publish, Row};
 use ringdeploy_core::FullKnowledge;
 use ringdeploy_sim::scheduler::{RoundRobin, Scheduler};
 use ringdeploy_sim::{InitialConfig, Ring, RunLimits};
@@ -26,17 +32,44 @@ struct Sample {
     n: usize,
     k: usize,
     steps: u64,
-    incremental: Duration,
+    /// Every repeat of the incremental driver, in the order they ran.
+    incremental_runs: Vec<Duration>,
     rescan: Duration,
 }
 
 impl Sample {
+    fn incremental(&self) -> Duration {
+        *self
+            .incremental_runs
+            .iter()
+            .min()
+            .expect("at least one repeat")
+    }
+
     fn speedup(&self) -> f64 {
-        self.rescan.as_secs_f64() / self.incremental.as_secs_f64()
+        self.rescan.as_secs_f64() / self.incremental().as_secs_f64()
     }
 
     fn ns_per_step(&self, total: Duration) -> f64 {
         total.as_secs_f64() * 1e9 / self.steps as f64
+    }
+
+    fn incremental_runs_ns(&self) -> Vec<f64> {
+        let runs = self.incremental_runs.iter();
+        runs.map(|&run| self.ns_per_step(run)).collect()
+    }
+
+    fn row(&self) -> Row {
+        Row::new()
+            .key("n", self.n)
+            .key("k", self.k)
+            .checked("steps", self.steps)
+            .timing(
+                "incremental_ns_per_step",
+                self.ns_per_step(self.incremental()),
+            )
+            .timing("rescan_ns_per_step", self.ns_per_step(self.rescan))
+            .timing_runs("incremental_ns_per_step_runs", &self.incremental_runs_ns())
     }
 }
 
@@ -73,13 +106,13 @@ fn run_rescan(n: usize, k: usize) -> (u64, Duration) {
 }
 
 fn measure(n: usize, k: usize, repeats: usize) -> Sample {
-    let mut incremental = Duration::MAX;
+    let mut incremental_runs = Vec::with_capacity(repeats);
     let mut rescan = Duration::MAX;
     let mut steps = 0;
     for _ in 0..repeats {
         let (s, d) = run_incremental(n, k);
         steps = s;
-        incremental = incremental.min(d);
+        incremental_runs.push(d);
         let (s2, d2) = run_rescan(n, k);
         assert_eq!(s, s2, "both drivers must execute the same schedule");
         rescan = rescan.min(d2);
@@ -88,64 +121,25 @@ fn measure(n: usize, k: usize, repeats: usize) -> Sample {
         n,
         k,
         steps,
-        incremental,
+        incremental_runs,
         rescan,
     }
 }
 
 fn main() {
     let configs = [(256usize, 16usize), (1024, 16), (4096, 16), (4096, 64)];
-    println!(
-        "{:>6} {:>4} {:>9} {:>16} {:>16} {:>9}",
-        "n", "k", "steps", "incremental", "rescan", "speedup"
-    );
-    let mut samples = Vec::new();
-    for (n, k) in configs {
-        let sample = measure(n, k, 3);
-        println!(
-            "{:>6} {:>4} {:>9} {:>13.1} ns {:>13.1} ns {:>8.2}x",
-            sample.n,
-            sample.k,
-            sample.steps,
-            sample.ns_per_step(sample.incremental),
-            sample.ns_per_step(sample.rescan),
-            sample.speedup()
-        );
-        samples.push(sample);
-    }
-
-    let rows: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"n\": {}, \"k\": {}, \"steps\": {}, \
-                 \"incremental_ns_per_step\": {:.1}, \
-                 \"rescan_ns_per_step\": {:.1}, \"speedup\": {:.2}}}",
-                s.n,
-                s.k,
-                s.steps,
-                s.ns_per_step(s.incremental),
-                s.ns_per_step(s.rescan),
-                s.speedup()
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"engine_step\",\n  \"scheduler\": \"round-robin\",\n  \
-         \"algorithm\": \"algo1-full-knowledge\",\n  \"results\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    std::fs::write(path, &json).expect("write BENCH_engine.json");
-    println!("\nwrote {path}");
+    let samples: Vec<Sample> = configs.iter().map(|&(n, k)| measure(n, k, 3)).collect();
+    let rows: Vec<Row> = samples.iter().map(Sample::row).collect();
+    publish("engine_step", "BENCH_engine.json", &rows);
 
     let large = samples.iter().filter(|s| s.n >= 1024);
     for s in large {
         assert!(
             s.speedup() >= 2.0,
-            "expected ≥2x speedup at n = {} (got {:.2}x)",
+            "expected ≥2x speedup at n = {} (got {:.2}x; incremental repeats {:.1?} ns/step)",
             s.n,
-            s.speedup()
+            s.speedup(),
+            s.incremental_runs_ns()
         );
     }
 
@@ -161,10 +155,12 @@ fn main() {
         .iter()
         .find(|s| s.n == 4096 && s.k == 64)
         .expect("the k = 64 hot-path row is part of the fixed config set");
-    let hot_ns = hot.ns_per_step(hot.incremental);
+    let hot_ns = hot.ns_per_step(hot.incremental());
     assert!(
         hot_ns <= 163.0,
         "hot-path regression: n = 4096, k = 64 incremental step took {hot_ns:.1} ns \
-         (gate: ≤163 ns, i.e. ≥1.5x over the 244.3 ns pre-SoA baseline)"
+         (gate: ≤163 ns, i.e. ≥1.5x over the 244.3 ns pre-SoA baseline; \
+         repeats {:.1?} ns/step)",
+        hot.incremental_runs_ns()
     );
 }

@@ -16,17 +16,18 @@
 //! `tests/explorer_differential.rs` checks the serial report quadruple
 //! against it on these six instances.
 //!
-//! Besides the table on stdout it writes `BENCH_explore.json` at the
-//! workspace root (published as a CI artifact), including per-instance
-//! `states_per_sec` and the DFS's `peak_frontier`.
+//! It writes `BENCH_explore.json` at the workspace root through
+//! `ringdeploy_bench::publish`, which fails the bench if a state count or
+//! the DFS's `peak_frontier` differs from the committed file.
 //!
 //! Run with `cargo bench -p ringdeploy-bench --bench explore_scale`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ringdeploy_analysis::explore_one;
+use ringdeploy_bench::{best_of, ms, publish, Row};
 use ringdeploy_core::Algorithm;
-use ringdeploy_sim::explore::{ExploreLimits, ExploreReport, Explorer, SymmetryMode};
+use ringdeploy_sim::explore::{ExploreLimits, Explorer, SymmetryMode};
 use ringdeploy_sim::InitialConfig;
 
 struct Sample {
@@ -47,15 +48,18 @@ impl Sample {
         self.states_plain as f64 / self.states_reduced as f64
     }
 
-    fn states_per_sec(&self) -> f64 {
-        self.states_reduced as f64 / self.reduced.as_secs_f64()
+    fn row(&self) -> Row {
+        Row::new()
+            .key("algo", self.algo)
+            .key("n", self.n)
+            .key("k", self.k)
+            .key("symmetry_degree", self.symmetry_degree)
+            .checked("states_plain", self.states_plain)
+            .checked("states_reduced", self.states_reduced)
+            .checked("peak_frontier", self.peak_frontier)
+            .timing("plain_ms", ms(self.plain))
+            .timing("serial_ms", ms(self.reduced))
     }
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 fn explorer_for(init: &InitialConfig, symmetry: SymmetryMode) -> Explorer {
@@ -65,18 +69,6 @@ fn explorer_for(init: &InitialConfig, symmetry: SymmetryMode) -> Explorer {
             init.agent_count(),
         ))
         .symmetry(symmetry)
-}
-
-fn best_of(repeats: usize, mut run: impl FnMut() -> ExploreReport) -> (ExploreReport, Duration) {
-    let mut best = Duration::MAX;
-    let mut report = None;
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let r = run();
-        best = best.min(start.elapsed());
-        report = Some(r);
-    }
-    (report.expect("at least one repeat"), best)
 }
 
 fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> Sample {
@@ -109,7 +101,7 @@ fn measure(algorithm: Algorithm, n: usize, homes: &[usize], repeats: usize) -> S
 
 fn main() {
     let repeats = 3;
-    let samples = vec![
+    let samples = [
         // Symmetric instances (l = 4): the quotient's best case.
         measure(Algorithm::FullKnowledge, 12, &[0, 3, 6, 9], repeats),
         measure(Algorithm::LogSpace, 12, &[0, 3, 6, 9], repeats),
@@ -121,58 +113,8 @@ fn main() {
         // largest per-state work.
         measure(Algorithm::Relaxed, 12, &[0, 1, 2, 3], repeats),
     ];
-
-    println!(
-        "{:>8} {:>4} {:>3} {:>3} {:>9} {:>9} {:>6} {:>9} {:>10} {:>5}",
-        "algo", "n", "k", "l", "plain", "reduced", "cut", "serial_ms", "kstates/s", "peak"
-    );
-    for s in &samples {
-        println!(
-            "{:>8} {:>4} {:>3} {:>3} {:>9} {:>9} {:>5.2}x {:>9.2} {:>10.1} {:>5}",
-            s.algo,
-            s.n,
-            s.k,
-            s.symmetry_degree,
-            s.states_plain,
-            s.states_reduced,
-            s.reduction(),
-            s.reduced.as_secs_f64() * 1e3,
-            s.states_per_sec() / 1e3,
-            s.peak_frontier
-        );
-    }
-
-    let rows: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"algo\": \"{}\", \"n\": {}, \"k\": {}, \"symmetry_degree\": {}, \
-                 \"states_plain\": {}, \"states_reduced\": {}, \"reduction\": {:.2}, \
-                 \"plain_ms\": {:.3}, \"serial_ms\": {:.3}, \
-                 \"states_per_sec\": {:.0}, \"peak_frontier\": {}}}",
-                s.algo,
-                s.n,
-                s.k,
-                s.symmetry_degree,
-                s.states_plain,
-                s.states_reduced,
-                s.reduction(),
-                s.plain.as_secs_f64() * 1e3,
-                s.reduced.as_secs_f64() * 1e3,
-                s.states_per_sec(),
-                s.peak_frontier,
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"explore_scale\",\n  \"cores\": {},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        cores(),
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
-    std::fs::write(path, &json).expect("write BENCH_explore.json");
-    println!("\nwrote {path}");
+    let rows: Vec<Row> = samples.iter().map(Sample::row).collect();
+    publish("explore_scale", "BENCH_explore.json", &rows);
 
     // Symmetry reduction: ≥3× on every l = 4 instance.
     for s in samples.iter().filter(|s| s.symmetry_degree >= 4) {

@@ -80,17 +80,22 @@ mod tests {
 
     #[test]
     fn measured_moves_respect_lower_bound() {
-        let (n, k) = (128, 16);
-        let init = quarter_ring_config(n, k);
-        for algo in Algorithm::ALL {
-            let m = measure_with_ideal_time(&init, algo, Schedule::Random(3), None).unwrap();
-            assert!(m.success, "{algo} failed");
-            assert!(
-                m.total_moves as f64 >= theorem1_lower_bound(n, k),
-                "{algo}: {} < kn/16",
-                m.total_moves
-            );
-            assert!(m.ideal_time.unwrap() as f64 >= n as f64 / 4.0);
+        for (n, k, schedule) in [
+            (128, 16, Schedule::Random(3)),
+            (128, 16, Schedule::RoundRobin),
+            (512, 64, Schedule::RoundRobin),
+        ] {
+            let init = quarter_ring_config(n, k);
+            for algo in Algorithm::ALL {
+                let m = measure_with_ideal_time(&init, algo, schedule, None).unwrap();
+                assert!(m.success, "{algo} n={n} {schedule:?} failed");
+                assert!(
+                    m.total_moves as f64 >= theorem1_lower_bound(n, k),
+                    "{algo} n={n} {schedule:?}: {} < kn/16",
+                    m.total_moves
+                );
+                assert!(m.ideal_time.unwrap() as f64 >= n as f64 / 4.0);
+            }
         }
     }
 

@@ -168,7 +168,7 @@ pub fn table1() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ringdeploy_analysis::measure_with_ideal_time;
+    use ringdeploy_analysis::{measure_one, measure_with_ideal_time, periodic_config};
     use ringdeploy_core::Schedule;
 
     #[test]
@@ -189,6 +189,20 @@ mod tests {
         // but remains a bounded constant times n/l.
         assert!(worst[1] < 30.0, "time ratio {}", worst[1]);
         assert!(worst[2] < 15.0, "moves ratio {}", worst[2]);
+        // The same ladder under round-robin, with `periodic_config`'s
+        // placement at l = 1 as well.
+        for (n, k, l) in symmetry_grid() {
+            let init = periodic_config(n, k, l);
+            let m = measure_one(&init, Algorithm::Relaxed, Schedule::RoundRobin, None)
+                .expect("run completes");
+            assert!(m.success, "round-robin l={l} failed");
+            let bound = relaxed_bounds(n, k, l)[2].value;
+            assert!(
+                m.total_moves as f64 <= 15.0 * bound,
+                "round-robin l={l}: {} moves > 15·kn/l",
+                m.total_moves
+            );
+        }
     }
 
     #[test]

@@ -101,6 +101,27 @@ mod tests {
                 before
             );
         }
+        // Larger trees, and another algorithm and schedule on a grid.
+        let random = |n| Tree::random(&mut SmallRng::seed_from_u64(3), n);
+        let cases = [
+            (random(32), 8, Algorithm::LogSpace, Schedule::Random(4)),
+            (random(128), 8, Algorithm::LogSpace, Schedule::Random(4)),
+            (
+                Graph::grid(8, 8).spanning_tree(0),
+                6,
+                Algorithm::FullKnowledge,
+                Schedule::RoundRobin,
+            ),
+        ];
+        for (tree, k, algorithm, schedule) in cases {
+            let agents: Vec<usize> = (0..k).collect();
+            let report = deploy_on_tree(&tree, &agents, algorithm, schedule).expect("run");
+            assert!(
+                report.ring_report.succeeded(),
+                "{algorithm} on a {}-node tree",
+                tree.node_count()
+            );
+        }
     }
 
     #[test]

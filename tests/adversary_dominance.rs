@@ -200,7 +200,14 @@ where
 fn independent_dp_reference_reproduces_the_maxima() {
     // Small instances: the DP clones a ring per edge, so keep the spaces
     // in the hundreds-to-thousands of states.
-    for (n, homes) in [(6usize, vec![0usize, 3]), (6, vec![0, 1]), (8, vec![0, 4])] {
+    // n = 6 {0,1,3,4} confirms algo2's 21-bit memory maximum, which
+    // exceeds its recorded 8·log₂n bound (20.7 bits).
+    for (n, homes) in [
+        (6usize, vec![0usize, 3]),
+        (6, vec![0, 1]),
+        (8, vec![0, 4]),
+        (6, vec![0, 1, 3, 4]),
+    ] {
         let init = InitialConfig::new(n, homes.clone()).expect("valid");
         let k = init.agent_count();
         for algorithm in Algorithm::ALL {
@@ -219,6 +226,41 @@ fn independent_dp_reference_reproduces_the_maxima() {
                      DP reference disagree"
                 );
             }
+        }
+    }
+}
+
+/// Algorithm 2's exact worst cases on the dense periodic instances
+/// (k ≥ n/2, l ∈ {2, 3}) that no CI certification job reaches: moves,
+/// activations, peak memory bits and distinct states of one
+/// all-objective walk. The memory maxima exceed the recorded
+/// `8·log₂n` bound (20.7, 25.4, 26.6 and 28.7 bits); only the measured
+/// values are pinned here, not the verdict against that bound.
+#[test]
+fn dense_algo2_worst_cases_are_pinned() {
+    let pins: [(usize, &[usize], [u64; 3], usize); 4] = [
+        (6, &[0, 1, 3, 4], [50, 56, 21], 367),
+        (9, &[0, 1, 3, 4, 6, 7], [102, 111, 27], 6_187),
+        (10, &[0, 1, 2, 3, 5, 6, 7, 8], [162, 176, 29], 182_013),
+        (12, &[0, 1, 4, 5, 8, 9], [135, 144, 29], 22_709),
+    ];
+    for (n, homes, values, states) in pins {
+        let init = InitialConfig::new(n, homes.to_vec()).expect("valid");
+        let adversary = Adversary::new().limits(ExploreLimits::for_instance(n, init.agent_count()));
+        let worst = Algorithm::LogSpace
+            .worst_cases(&init, &adversary, &Objective::ALL)
+            .unwrap_or_else(|e| panic!("n={n} homes={homes:?}: {e}"));
+        let got: Vec<u64> = worst.iter().map(|case| case.value).collect();
+        assert_eq!(
+            got, values,
+            "n={n} homes={homes:?}: (moves, activations, memory bits)"
+        );
+        for case in &worst {
+            assert_eq!(
+                case.distinct_states, states,
+                "n={n} homes={homes:?} {}",
+                case.objective
+            );
         }
     }
 }

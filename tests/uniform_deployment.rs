@@ -4,7 +4,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ringdeploy::analysis::{
-    clustered_config, periodic_config, quarter_ring_config, random_config, uniform_config,
+    clustered_config, periodic_config, quarter_ring_config, random_aperiodic_config, random_config,
+    uniform_config,
 };
 use ringdeploy::{Algorithm, DeployReport, Deployment, InitialConfig, Schedule};
 
@@ -78,6 +79,18 @@ fn every_algorithm_deploys_under_random_schedules() {
                     report.check
                 );
             }
+        }
+    }
+    // Three Table 1 sizes, one seeded aperiodic placement each.
+    for (n, k) in [(64, 8), (256, 16), (1024, 32)] {
+        let init = random_aperiodic_config(&mut SmallRng::seed_from_u64(42), n, k);
+        for algo in Algorithm::ALL {
+            let report = run_deploy(&init, algo, Schedule::Random(7));
+            assert!(
+                report.succeeded(),
+                "{algo} on aperiodic n={n} k={k}: {:?}",
+                report.check
+            );
         }
     }
 }
